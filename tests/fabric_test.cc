@@ -1,10 +1,15 @@
 // Tests for the simulated RDMA fabric: verb semantics (READ/WRITE/CAS/FAA),
-// remote pointers, memory regions, SRQ delivery, RPC round trips, and the
-// cost model (latency composition, engine serialization, co-location).
+// remote pointers, memory regions, SRQ delivery, RPC round trips, the cost
+// model (latency composition, engine serialization, co-location), and the
+// golden verb matrix that pins every verb's observable outcome.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "nam/cluster.h"
@@ -325,6 +330,346 @@ TEST(FabricTest, ColocatedAccessSkipsTheWire) {
   EXPECT_LT(local_latency, config.wire_latency_ns);
   EXPECT_TRUE(cluster.fabric().IsLocal(0, 0));
   EXPECT_FALSE(cluster.fabric().IsLocal(0, 1));
+}
+
+
+// ---- Golden verb matrix --------------------------------------------------------
+//
+// Every fabric entry point × route × fault case, one fresh cluster per cell.
+// Each cell renders everything a verb can change: completion time and status,
+// pre-image, target bytes, per-server stats, the non-zero fabric.* registry
+// counters, and the auditor's verb trace. The rendering is compared against
+// tests/golden/verb_matrix.txt, so any change to a verb's cost, ordering,
+// fault handling or RNG consumption shows up as a per-cell diff. On mismatch
+// the full actual rendering is written to verb_matrix.actual in the working
+// directory. Builds without the auditor skip the `audit`/`trace` lines.
+
+enum class MatrixVerb {
+  kRead, kWrite, kCas, kFaa, kReadChain, kWriteWriteChain, kWriteCasChain,
+  kFencedChain, kEpoch, kCall,
+};
+enum class MatrixCase {
+  kHealthy, kDropVerb, kDropCompletion, kDuplicate, kClientDiesAtPost,
+  kClientDiesInFlight, kServerDiesInFlight, kLatencyJitter, kScheduleJitter,
+  kContended,
+};
+
+const char* MatrixVerbName(MatrixVerb v) {
+  switch (v) {
+    case MatrixVerb::kRead: return "READ";
+    case MatrixVerb::kWrite: return "WRITE";
+    case MatrixVerb::kCas: return "CAS";
+    case MatrixVerb::kFaa: return "FAA";
+    case MatrixVerb::kReadChain: return "chain(READ,READ)";
+    case MatrixVerb::kWriteWriteChain: return "chain(WRITE,WRITE)";
+    case MatrixVerb::kWriteCasChain: return "chain(WRITE,CAS)";
+    case MatrixVerb::kFencedChain: return "chain(WRITE,fenced WRITE)";
+    case MatrixVerb::kEpoch: return "EPOCH";
+    case MatrixVerb::kCall: return "CALL";
+  }
+  return "?";
+}
+
+const char* MatrixCaseName(MatrixCase c) {
+  switch (c) {
+    case MatrixCase::kHealthy: return "healthy";
+    case MatrixCase::kDropVerb: return "drop-verb";
+    case MatrixCase::kDropCompletion: return "drop-completion";
+    case MatrixCase::kDuplicate: return "duplicate";
+    case MatrixCase::kClientDiesAtPost: return "client-dies-at-post";
+    case MatrixCase::kClientDiesInFlight: return "client-dies-in-flight";
+    case MatrixCase::kServerDiesInFlight: return "server-dies-in-flight";
+    case MatrixCase::kLatencyJitter: return "latency-jitter";
+    case MatrixCase::kScheduleJitter: return "schedule-jitter";
+    case MatrixCase::kContended: return "contended";
+  }
+  return "?";
+}
+
+uint64_t Fnv1a(const void* data, size_t len) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t i = 0; i < len; ++i) h = (h ^ p[i]) * 0x100000001b3ull;
+  return h;
+}
+
+// What the driver coroutine observed when the verb completed.
+struct MatrixOutcome {
+  SimTime done = 0;
+  std::string status;
+  uint64_t value = 0;
+};
+
+const char* CompletionName(VerbCompletion c) {
+  return c == VerbCompletion::kOk ? "ok" : "lost";
+}
+
+Task<> DriveMatrixVerb(Fabric& fabric, MatrixVerb verb, uint32_t target,
+                       RemotePtr a, RemotePtr b, RemotePtr word,
+                       RemotePtr backup, uint8_t* buf_a, uint8_t* buf_b,
+                       const uint8_t* payload_a, const uint8_t* payload_b,
+                       MatrixOutcome* out) {
+  constexpr uint32_t kLen = 64;
+  switch (verb) {
+    case MatrixVerb::kRead:
+      out->status =
+          CompletionName(co_await fabric.Read(0, a, buf_a, kLen));
+      break;
+    case MatrixVerb::kWrite:
+      out->status =
+          CompletionName(co_await fabric.Write(0, a, payload_a, kLen));
+      break;
+    case MatrixVerb::kCas: {
+      const AtomicResult r =
+          co_await fabric.CompareAndSwap(0, word, 0x100, 0x200);
+      out->status = CompletionName(r.completion);
+      out->value = r.value;
+      break;
+    }
+    case MatrixVerb::kFaa: {
+      const AtomicResult r = co_await fabric.FetchAndAdd(0, word, 5);
+      out->status = CompletionName(r.completion);
+      out->value = r.value;
+      break;
+    }
+    case MatrixVerb::kReadChain:
+    case MatrixVerb::kWriteWriteChain:
+    case MatrixVerb::kWriteCasChain:
+    case MatrixVerb::kFencedChain: {
+      // Built outside the co_await: GCC 12 cannot keep a braced
+      // initializer list alive across a coroutine suspension.
+      std::vector<Fabric::ChainOp> ops;
+      if (verb == MatrixVerb::kReadChain) {
+        ops.push_back(Fabric::ChainOp::Read(a, buf_a, kLen));
+        ops.push_back(Fabric::ChainOp::Read(b, buf_b, kLen));
+      } else {
+        ops.push_back(Fabric::ChainOp::Write(a, payload_a, kLen));
+      }
+      if (verb == MatrixVerb::kWriteWriteChain) {
+        ops.push_back(Fabric::ChainOp::Write(b, payload_b, kLen));
+      } else if (verb == MatrixVerb::kWriteCasChain) {
+        ops.push_back(Fabric::ChainOp::Cas(word, 0x100, 0x200, &out->value));
+      } else if (verb == MatrixVerb::kFencedChain) {
+        ops.push_back(Fabric::ChainOp::Write(backup, payload_b, kLen));
+        ops.back().fence_server = static_cast<int32_t>(target);
+      }
+      out->status =
+          CompletionName(co_await fabric.PostChain(0, std::move(ops)));
+      break;
+    }
+    case MatrixVerb::kEpoch: {
+      // Client 2 hosts its liveness record on server 2 % 2 == target.
+      const EpochReadResult r = co_await fabric.ReadClientEpoch(0, 2);
+      out->status = r.status.ToString();
+      out->value = r.alive ? 1 : 0;
+      break;
+    }
+    case MatrixVerb::kCall: {
+      RpcRequest req;
+      req.op = 7;
+      req.arg0 = 41;
+      const RpcResponse r = co_await fabric.Call(0, target, std::move(req));
+      out->status = "rpc/" + std::to_string(r.status);
+      out->value = r.arg0;
+      break;
+    }
+  }
+  out->done = fabric.simulator().now();
+}
+
+// Competing traffic for the contended case: client 1 reads and then writes
+// the cell's second buffer while the verb under test is in flight.
+Task<> DrivePeer(Fabric& fabric, RemotePtr b, uint8_t* buf,
+                 std::vector<SimTime>* done) {
+  co_await fabric.Read(1, b, buf, 64);
+  done->push_back(fabric.simulator().now());
+  co_await fabric.Write(1, b, buf, 64);
+  done->push_back(fabric.simulator().now());
+}
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string RenderMatrixCell(MatrixVerb verb, bool colocated,
+                             MatrixCase fault) {
+  constexpr uint32_t kTarget = 0;  // co-located with client 0 when colocated
+  constexpr uint32_t kOther = 1;   // always remote
+  constexpr uint32_t kLen = 64;
+  FabricConfig config;
+  config.num_memory_servers = 2;
+  config.memory_servers_per_machine = 1;
+  config.workers_per_server = 2;
+  config.colocate = colocated;
+  switch (fault) {
+    case MatrixCase::kDropVerb:
+      config.verb_fault_points.push_back(
+          {0, 0, FabricConfig::VerbFaultPoint::Kind::kDropVerb});
+      break;
+    case MatrixCase::kDropCompletion:
+      config.verb_fault_points.push_back(
+          {0, 0, FabricConfig::VerbFaultPoint::Kind::kDropCompletion});
+      break;
+    case MatrixCase::kDuplicate:
+      config.verb_fault_points.push_back(
+          {0, 0, FabricConfig::VerbFaultPoint::Kind::kDuplicate});
+      break;
+    case MatrixCase::kClientDiesAtPost:
+      config.crash_points.push_back({0, 0});
+      break;
+    case MatrixCase::kLatencyJitter:
+      config.latency_jitter = 0.5;
+      break;
+    case MatrixCase::kScheduleJitter:
+      config.schedule_seed = 7;
+      config.schedule_jitter_ns = 50;
+      break;
+    default:
+      break;
+  }
+  Cluster cluster(config, 1 << 16);
+  Fabric& fabric = cluster.fabric();
+  fabric.SetNumClients(3);
+  for (uint32_t s = 0; s < cluster.num_memory_servers(); ++s) {
+    cluster.memory_server(s).Start(EchoHandler);
+  }
+  MemoryRegion& region = cluster.memory_server(kTarget).region();
+  const RemotePtr a = region.AllocateLocal(kLen);
+  const RemotePtr b = region.AllocateLocal(kLen);
+  const RemotePtr word = region.AllocateLocal(8);
+  const RemotePtr backup =
+      cluster.memory_server(kOther).region().AllocateLocal(kLen);
+  std::vector<uint8_t> payload_a(kLen), payload_b(kLen);
+  for (uint32_t i = 0; i < kLen; ++i) {
+    region.at(a.offset())[i] = static_cast<uint8_t>(0x10 + i);
+    region.at(b.offset())[i] = static_cast<uint8_t>(0x50 + i);
+    cluster.memory_server(kOther).region().at(backup.offset())[i] =
+        static_cast<uint8_t>(0x90 + i);
+    payload_a[i] = static_cast<uint8_t>(0xA0 + i);
+    payload_b[i] = static_cast<uint8_t>(0xE0 - i);
+  }
+  region.WriteU64(word.offset(), 0x100);
+  if (fault == MatrixCase::kClientDiesInFlight) fabric.KillClient(0, 1);
+  if (fault == MatrixCase::kServerDiesInFlight) fabric.KillServer(kTarget, 1);
+  // The epoch probe's subject dies before the probe's effect lands, so the
+  // snapshot shows when the effect ran.
+  fabric.KillClient(2, 1);
+
+  std::vector<uint8_t> buf_a(kLen), buf_b(kLen), buf_peer(kLen);
+  MatrixOutcome out;
+  std::vector<SimTime> peer_done;
+  Spawn(cluster.simulator(),
+        DriveMatrixVerb(fabric, verb, kTarget, a, b, word, backup,
+                        buf_a.data(), buf_b.data(), payload_a.data(),
+                        payload_b.data(), &out));
+  if (fault == MatrixCase::kContended) {
+    Spawn(cluster.simulator(),
+          DrivePeer(fabric, b, buf_peer.data(), &peer_done));
+  }
+  const SimTime end = cluster.simulator().Run();
+
+  std::ostringstream os;
+  os << "[" << MatrixVerbName(verb) << " "
+     << (colocated ? "co-located" : "remote") << " " << MatrixCaseName(fault)
+     << "]\n";
+  os << "  done=" << out.done << " end=" << end << " status=" << out.status
+     << " value=" << Hex(out.value) << "\n";
+  if (!peer_done.empty()) {
+    os << "  peer";
+    for (SimTime t : peer_done) os << " done=" << t;
+    os << "\n";
+  }
+  os << "  mem a=" << Hex(Fnv1a(region.at(a.offset()), kLen))
+     << " b=" << Hex(Fnv1a(region.at(b.offset()), kLen))
+     << " word=" << Hex(region.ReadU64(word.offset())) << " backup="
+     << Hex(Fnv1a(cluster.memory_server(kOther).region().at(backup.offset()),
+                  kLen))
+     << " buf_a=" << Hex(Fnv1a(buf_a.data(), kLen))
+     << " buf_b=" << Hex(Fnv1a(buf_b.data(), kLen)) << "\n";
+  for (uint32_t s = 0; s < cluster.num_memory_servers(); ++s) {
+    const Fabric::ServerStats st = fabric.server_stats(s);
+    os << "  server" << s << " tx=" << st.tx_bytes << " rx=" << st.rx_bytes
+       << " verbs=" << st.verbs << " busy=" << st.engine_busy
+       << " reads=" << st.reads << " writes=" << st.writes
+       << " atomics=" << st.atomics << " sends=" << st.sends
+       << " executed=" << fabric.server_verbs_executed(s)
+       << " handled=" << cluster.memory_server(s).requests_handled()
+       << " alive=" << fabric.ServerAlive(s) << "\n";
+  }
+  os << "  client0 verbs=" << fabric.client_verbs(0)
+     << " alive=" << fabric.ClientAlive(0) << "\n";
+  os << "  counters";
+  const metrics::Snapshot snapshot = fabric.metrics().Collect();
+  for (const metrics::FamilySample& f : snapshot.families()) {
+    if (f.name.rfind("fabric.", 0) != 0) continue;
+    if (f.kind != metrics::MetricKind::kCounter) continue;
+    for (const auto& [labels, value] : f.values) {
+      if (value != 0) os << " " << f.name << "=" << value;
+    }
+  }
+  os << "\n";
+  if (const VerbAuditor* auditor = fabric.auditor()) {
+    os << "  audit " << fabric.CheckAuditClean().ToString() << "\n";
+    std::istringstream trace(auditor->DumpTrace());
+    for (std::string line; std::getline(trace, line);) {
+      os << "  trace " << line << "\n";
+    }
+  }
+  return os.str();
+}
+
+// Splits a rendering into per-cell blocks keyed by their header line,
+// dropping audit-only lines when this build has no auditor.
+std::vector<std::pair<std::string, std::string>> MatrixBlocks(
+    const std::string& text, bool with_audit) {
+  std::vector<std::pair<std::string, std::string>> blocks;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] == '[') {
+      blocks.emplace_back(line, "");
+      continue;
+    }
+    if (blocks.empty()) continue;
+    if (!with_audit && (line.rfind("  audit ", 0) == 0 ||
+                        line.rfind("  trace ", 0) == 0)) {
+      continue;
+    }
+    blocks.back().second += line + "\n";
+  }
+  return blocks;
+}
+
+TEST(VerbMatrixTest, MatchesGolden) {
+  std::string actual;
+  for (int v = 0; v <= static_cast<int>(MatrixVerb::kCall); ++v) {
+    for (bool colocated : {false, true}) {
+      for (int c = 0; c <= static_cast<int>(MatrixCase::kContended);
+           ++c) {
+        actual += RenderMatrixCell(static_cast<MatrixVerb>(v), colocated,
+                                   static_cast<MatrixCase>(c));
+      }
+    }
+  }
+  std::ifstream file(NAMTREE_GOLDEN_DIR "/verb_matrix.txt");
+  std::stringstream golden;
+  golden << file.rdbuf();
+#if NAMTREE_AUDIT
+  constexpr bool with_audit = true;
+#else
+  constexpr bool with_audit = false;
+#endif
+  const auto want = MatrixBlocks(golden.str(), with_audit);
+  const auto got = MatrixBlocks(actual, with_audit);
+  bool same = want.size() == got.size();
+  EXPECT_EQ(want.size(), got.size()) << "cell count differs from the golden";
+  for (size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+    EXPECT_EQ(want[i].first, got[i].first);
+    EXPECT_EQ(want[i].second, got[i].second) << "cell " << got[i].first;
+    same = same && want[i] == got[i];
+  }
+  if (!same) std::ofstream("verb_matrix.actual") << actual;
 }
 
 }  // namespace
