@@ -121,9 +121,8 @@ CombinePhaseResult RunCombinePhase(bool combining, uint64_t keys,
   const namtree::ycsb::RunResult result = exp.Run(run);
 
   CombinePhaseResult r;
-  const namtree::rdma::VerbAuditor* auditor = exp.cluster->fabric().auditor();
-  r.duplicate_inflight_reads =
-      auditor ? auditor->duplicate_inflight_reads() : 0;
+  r.duplicate_inflight_reads = exp.cluster->fabric().metrics().Value(
+      "fabric.duplicate_inflight_reads");
   r.combined_reads = result.combined_reads();
   r.ops_per_s = result.ops_per_sec;
   r.failed_ops = result.failed_ops();

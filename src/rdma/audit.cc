@@ -113,9 +113,6 @@ void VerbAuditor::BindMetrics(metrics::MetricRegistry* registry) {
   if (registry == nullptr) return;
   registry->RegisterCounter(lock_steals_, "audit.lock_steals", {},
                             "sanctioned CAS-clears of dead holders' locks");
-  registry->RegisterCounter(duplicate_inflight_reads_,
-                            "audit.duplicate_inflight_reads", {},
-                            "same-client duplicate READs posted in flight");
   registry->RegisterCounter(total_occurrences_, "audit.violations_total",
                             {}, "protocol-violation occurrences, all kinds");
   registry->RegisterCounter(suppressed_violations_,
@@ -395,22 +392,6 @@ void VerbAuditor::OnReadEffect(uint32_t client, RemotePtr src, uint32_t len,
       });
 }
 
-void VerbAuditor::OnReadPosted(uint32_t client, RemotePtr src,
-                               uint32_t len) {
-  if (!enabled_) return;
-  uint32_t& outstanding = inflight_reads_[{client, src.raw(), len}];
-  if (outstanding > 0) duplicate_inflight_reads_.Inc();
-  outstanding++;
-}
-
-void VerbAuditor::OnReadCompleted(uint32_t client, RemotePtr src,
-                                  uint32_t len) {
-  if (!enabled_) return;
-  auto it = inflight_reads_.find({client, src.raw(), len});
-  if (it == inflight_reads_.end()) return;  // posted while disabled
-  if (--it->second == 0) inflight_reads_.erase(it);
-}
-
 void VerbAuditor::OnCasEffect(uint32_t client, RemotePtr target,
                               uint64_t expected, uint64_t desired,
                               uint64_t observed, SimTime now,
@@ -616,8 +597,6 @@ void VerbAuditor::Reset() {
   ClearViolations();
   words_.clear();
   inflight_.clear();
-  inflight_reads_.clear();
-  duplicate_inflight_reads_.Reset();
   client_vc_.clear();
   server_vc_.clear();
   trace_.clear();

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -141,7 +140,6 @@ class VerbAuditor {
   /// Registers the auditor's tallies as metric families (the fabric wires
   /// in its registry right after construction):
   ///   audit.lock_steals               sanctioned CAS-clears of dead locks
-  ///   audit.duplicate_inflight_reads  same-client duplicate READs posted
   ///   audit.violations{kind}          occurrences per ViolationKind
   ///   audit.suppressed_violations     occurrences dropped at the cap
   ///   audit.tracked_words             words under tracking (gauge-like)
@@ -164,18 +162,6 @@ class VerbAuditor {
   /// A READ's memory effect (the copy-out) is happening now.
   void OnReadEffect(uint32_t client, RemotePtr src, uint32_t len,
                     SimTime now, uint64_t chain = 0);
-
-  /// A standalone READ verb left `client`'s NIC / its completion was
-  /// delivered (or the verb was dropped in flight — drops complete the
-  /// posting for tracking purposes). Tracks same-client overlapping
-  /// concurrent READs of one (target, len): posting a second while the
-  /// first is still outstanding bumps `duplicate_inflight_reads` — exactly
-  /// the wasted verbs the in-flight read combiner
-  /// (FabricConfig::read_combining) exists to eliminate. Doorbell-chain
-  /// members are not tracked: a chain's composition is deduplicated by its
-  /// builder, and its members share one doorbell anyway.
-  void OnReadPosted(uint32_t client, RemotePtr src, uint32_t len);
-  void OnReadCompleted(uint32_t client, RemotePtr src, uint32_t len);
 
   /// A CAS executed: `observed` is the pre-image (swap happened iff
   /// observed == expected).
@@ -222,13 +208,6 @@ class VerbAuditor {
 
   /// Number of sanctioned lock steals (CAS-clear of a dead holder's lock).
   uint64_t lock_steals() const { return lock_steals_; }
-
-  /// Same-client standalone READs posted while an identical (target, len)
-  /// READ from that client was still in flight. Not a protocol violation —
-  /// a waste metric: 0 under FabricConfig::read_combining.
-  uint64_t duplicate_inflight_reads() const {
-    return duplicate_inflight_reads_;
-  }
 
   /// Distinct recorded violations (one per (kind, target), capped at
   /// kMaxStoredViolations; repeats bump Violation::occurrences).
@@ -405,11 +384,6 @@ class VerbAuditor {
   std::unordered_map<uint64_t, InflightWrite> inflight_;
   uint64_t next_ticket_ = 1;
   metrics::Counter lock_steals_;
-  /// Outstanding standalone READ count per (client, target raw, len);
-  /// entries are erased when they drain to zero.
-  std::map<std::tuple<uint32_t, uint64_t, uint32_t>, uint32_t>
-      inflight_reads_;
-  metrics::Counter duplicate_inflight_reads_;
   std::vector<Violation> violations_;
   /// (kind, target raw) -> index into violations_, for deduplication.
   std::map<std::pair<int, uint64_t>, size_t> violation_index_;

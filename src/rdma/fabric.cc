@@ -80,6 +80,9 @@ Fabric::Fabric(sim::Simulator& simulator, const FabricConfig& config)
                            {}, "doorbell rings (one per verb or chain)");
   metrics_.RegisterCounter(combined_reads_, "fabric.combined_reads", {},
                            "READs combined away onto in-flight ones");
+  metrics_.RegisterCounter(
+      duplicate_inflight_reads_, "fabric.duplicate_inflight_reads", {},
+      "same-client READs posted while an identical one was in flight");
   metrics_.RegisterCounter(dropped_verbs_, "fabric.dropped_verbs", {},
                            "verbs dropped at post or effect time");
   metrics_.RegisterCounter(dropped_responses_, "fabric.dropped_responses",
@@ -426,9 +429,6 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
     co_return VerbCompletion::kLost;
   }
   if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  // Standalone READ in-flight tracking (drops complete the posting too):
-  // overlapping same-client duplicates are the combiner's waste metric.
-  if (auditor_) auditor_->OnReadPosted(client, src, len);
   MemoryServerEndpoint& server = memory_servers_[src.server_id()];
   uint8_t* remote = TargetAddress(src, len);
 
@@ -437,7 +437,6 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
     const SimTime done = bus.ReserveTransfer(
         simulator_.now() + config_.local_latency_ns, len);
     co_await sim::DelayUntil(simulator_, done);
-    if (auditor_) auditor_->OnReadCompleted(client, src, len);
     if (!ClientAlive(client)) {
       dropped_verbs_.Inc();
       co_return VerbCompletion::kOk;
@@ -478,12 +477,10 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
   co_await sim::DelayUntil(simulator_, t_effect);
   if (!ClientAlive(client)) {  // died with the verb in flight: drop it
     dropped_verbs_.Inc();
-    if (auditor_) auditor_->OnReadCompleted(client, src, len);
     co_return VerbCompletion::kOk;
   }
   if (!ServerVerbExecutes(src.server_id())) {  // target region is gone
     dropped_verbs_.Inc();
-    if (auditor_) auditor_->OnReadCompleted(client, src, len);
     co_return VerbCompletion::kOk;
   }
   if (auditor_) auditor_->OnReadEffect(client, src, len, simulator_.now());
@@ -493,7 +490,6 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
     // The response never reaches the client: the bytes are in flight but
     // unacknowledged, so the caller must treat the buffer as unspecified.
     net_dropped_completions_.Inc();
-    if (auditor_) auditor_->OnReadCompleted(client, src, len);
     co_await sim::DelayUntil(simulator_,
                              t_effect + config_.net_verb_timeout_ns);
     co_return VerbCompletion::kLost;
@@ -504,7 +500,6 @@ sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
       t_tx - server.tx.TransferDuration(len) + WireLatency();
   const SimTime done = compute.rx.ReserveArrival(first_byte_at_client, len);
   co_await sim::DelayUntil(simulator_, done);
-  if (auditor_) auditor_->OnReadCompleted(client, src, len);
   co_return VerbCompletion::kOk;
 }
 
@@ -512,7 +507,20 @@ sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,
                                                    RemotePtr src, void* dst,
                                                    uint32_t len) {
   if (!config_.read_combining) {
+    // No combining: a same-client READ of an outstanding (src, len) posts
+    // anyway — the waste combining exists to remove.
+    if (inflight_reads_.size() <= client) inflight_reads_.resize(client + 1);
+    const InflightRead read{src.raw(), len};
+    if (std::find(inflight_reads_[client].begin(),
+                  inflight_reads_[client].end(),
+                  read) != inflight_reads_[client].end()) {
+      duplicate_inflight_reads_.Inc();
+    }
+    inflight_reads_[client].push_back(read);
     const VerbCompletion c = co_await Read(client, src, dst, len);
+    std::vector<InflightRead>& mine = inflight_reads_[client];
+    *std::find(mine.begin(), mine.end(), read) = mine.back();
+    mine.pop_back();
     co_return CombinedReadResult{false, c};
   }
   const auto key = std::make_tuple(client, src.raw(), len);

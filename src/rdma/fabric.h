@@ -247,7 +247,9 @@ class Fabric {
   /// to it — no verb is posted; the caller resumes when the outstanding
   /// read's completion arrives and receives the bytes it delivered.
   /// Returns true when the request was combined, false when it posted the
-  /// verb itself. With the knob off this is exactly Read (returns false).
+  /// verb itself. With the knob off this is Read (returns false), and a
+  /// request identical to one still in flight from the same client counts
+  /// in fabric.duplicate_inflight_reads.
   ///
   /// A combined waiter observes a snapshot taken at the primary verb's
   /// effect time, which may precede its own call by the in-flight window —
@@ -414,6 +416,10 @@ class Fabric {
   ///                            one per chain
   ///   fabric.combined_reads    READs combined away by CombinedRead
   ///                            (verbs never posted)
+  ///   fabric.duplicate_inflight_reads  CombinedRead calls with combining
+  ///                            off that posted a READ identical to one
+  ///                            the same client still had in flight — the
+  ///                            waste read_combining removes (never reset)
   ///   fabric.dropped_verbs     verbs dropped because their client was dead
   ///                            at post or effect time (never reset)
   ///   fabric.dropped_responses RPC responses whose caller had abandoned
@@ -649,10 +655,19 @@ class Fabric {
   std::map<std::tuple<uint32_t, uint64_t, uint32_t>,
            std::shared_ptr<PendingRead>>
       pending_reads_;
+  /// With combining off: each client's outstanding CombinedRead targets,
+  /// one entry per posted READ (duplicates included), indexed by client.
+  struct InflightRead {
+    uint64_t src = 0;
+    uint32_t len = 0;
+    bool operator==(const InflightRead&) const = default;
+  };
+  std::vector<std::vector<InflightRead>> inflight_reads_;
   // Registered in the constructor under the family names documented at
   // metrics(); ResetStats() zeroes the first four, the drop/timeout
   // counters run for the fabric's lifetime.
   metrics::Counter combined_reads_;
+  metrics::Counter duplicate_inflight_reads_;
   metrics::Counter dropped_verbs_;
   metrics::Counter dropped_responses_;
   metrics::Counter rpc_timeouts_;

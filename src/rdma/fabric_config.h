@@ -239,7 +239,7 @@ struct FabricConfig {
   /// client-side NIC-queue discipline: no memory-server cooperation, no
   /// protocol change (the combined read observes the same bytes the verb
   /// delivered). Off by default — bit-identical to independent READs;
-  /// VerbAuditor::duplicate_inflight_reads counts what stays on the table.
+  /// fabric.duplicate_inflight_reads counts what stays on the table.
   bool read_combining = false;
   /// Initial backoff before re-polling a locked remote node (remote
   /// spinlock). Consecutive re-polls back off exponentially (with jitter)

@@ -454,8 +454,9 @@ TEST(ReadCombiningTest, ConcurrentLanesShareOneVerb) {
                 static_cast<int>(cc),
             2);
   EXPECT_EQ(cluster.fabric().metrics().Value("fabric.combined_reads"), 2u);
-  ASSERT_NE(cluster.fabric().auditor(), nullptr);
-  EXPECT_EQ(cluster.fabric().auditor()->duplicate_inflight_reads(), 0u);
+  EXPECT_EQ(
+      cluster.fabric().metrics().Value("fabric.duplicate_inflight_reads"),
+      0u);
 }
 
 TEST(ReadCombiningTest, DisabledKnobIsPassThrough) {
@@ -485,14 +486,15 @@ TEST(ReadCombiningTest, DisabledKnobIsPassThrough) {
   EXPECT_EQ(a, 77u);
   EXPECT_EQ(b, 77u);
   EXPECT_EQ(cluster.fabric().metrics().Value("fabric.combined_reads"), 0u);
-  // The auditor sees what combining would have saved: the second lane
+  // The fabric counts what combining would have saved: the second lane
   // posted a duplicate of an outstanding READ.
-  ASSERT_NE(cluster.fabric().auditor(), nullptr);
-  EXPECT_GT(cluster.fabric().auditor()->duplicate_inflight_reads(), 0u);
+  EXPECT_GT(
+      cluster.fabric().metrics().Value("fabric.duplicate_inflight_reads"),
+      0u);
 }
 
 /// One pipelined Zipf run of the fine-grained design; returns the
-/// duplicate-read count the auditor observed and the run result.
+/// duplicate in-flight READ count and the run result.
 struct CombineRunOutcome {
   uint64_t duplicates = 0;
   uint64_t combined = 0;
@@ -523,9 +525,8 @@ CombineRunOutcome RunZipfPipelined(bool combining) {
       ycsb::RunWorkload(cluster, index, keys, rc);
 
   CombineRunOutcome out;
-  out.duplicates = cluster.fabric().auditor()
-                       ? cluster.fabric().auditor()->duplicate_inflight_reads()
-                       : 0;
+  out.duplicates =
+      cluster.fabric().metrics().Value("fabric.duplicate_inflight_reads");
   out.combined = result.combined_reads();
   out.ops = result.ops();
   out.failed = result.failed_ops();
