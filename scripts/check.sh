@@ -89,7 +89,7 @@ fi
 # and fault-injection test — the workloads where an HB race or a
 # schedule-dependent protocol bug would surface as a kRemoteRace finding.
 EXPLORE_FILTER='Differential|Crash|Orphan|RpcTimeout|ResourceExhaustion'
-EXPLORE_FILTER+='|Straggler|Backoff|Jitter|Transport|ScheduleExplorer'
+EXPLORE_FILTER+='|Straggler|Backoff|Jitter|ScheduleExplorer'
 
 explore_schedules() {
   local dir="build-check/plain"

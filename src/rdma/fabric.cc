@@ -1190,7 +1190,7 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
       const SimTime t_arrive = t_out + WireLatency() + net.extra_delay;
       server.rx.ReserveArrival(t_arrive - 1, wire_bytes);
       t_deliver = server.engine.ReserveOccupancy(
-          t_arrive, TwoSidedEngineCost(server_id, wire_bytes));
+          t_arrive, EngineCost(server_id, config_.twosided_engine_ns));
     }
 
     server.sends++;
@@ -1200,7 +1200,7 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
       net_duplicates_.Inc();
       server.sends++;
       t_deliver = server.engine.ReserveOccupancy(
-          t_deliver, TwoSidedEngineCost(server_id, wire_bytes));
+          t_deliver, EngineCost(server_id, config_.twosided_engine_ns));
     }
     co_await sim::DelayUntil(simulator_, t_deliver);
     if (!ClientAlive(client)) {  // SEND dropped in flight
@@ -1330,15 +1330,8 @@ void Fabric::Respond(uint32_t server_id, const IncomingRpc& incoming,
                                wire_bytes);
   } else {
     ComputeEndpoint& compute = ComputeFor(incoming.client_id);
-    // UD responses fragment into MTU-sized datagrams, each costing engine
-    // time on the sending NIC; RC sends the response as one message.
-    SimTime t_send = simulator_.now();
-    if (config_.rpc_transport ==
-        FabricConfig::RpcTransport::kUnreliableDatagram) {
-      t_send = server.engine.ReserveOccupancy(
-          t_send, TwoSidedEngineCost(server_id, wire_bytes));
-    }
-    const SimTime t_out = server.tx.ReserveTransfer(t_send, wire_bytes);
+    const SimTime t_out =
+        server.tx.ReserveTransfer(simulator_.now(), wire_bytes);
     const SimTime first_byte = t_out - server.tx.TransferDuration(wire_bytes) +
                                WireLatency();
     done = compute.rx.ReserveArrival(first_byte, wire_bytes);

@@ -495,19 +495,6 @@ class Fabric {
     return static_cast<SimTime>(base * ServerSlowdown(server));
   }
 
-  /// Engine occupancy of a two-sided message of `wire_bytes` at `server`:
-  /// one SEND for RC; ceil(bytes / MTU) cheaper datagrams for UD (§3.2 /
-  /// FaSST-style transport).
-  SimTime TwoSidedEngineCost(uint32_t server, uint32_t wire_bytes) const {
-    if (config_.rpc_transport ==
-        FabricConfig::RpcTransport::kUnreliableDatagram) {
-      const uint32_t fragments =
-          (wire_bytes + config_.ud_mtu - 1) / config_.ud_mtu;
-      return EngineCost(server, fragments * config_.ud_engine_ns);
-    }
-    return EngineCost(server, config_.twosided_engine_ns);
-  }
-
   void ResetStats();
 
  private:

@@ -81,18 +81,6 @@ struct FabricConfig {
   /// Same-machine copy bandwidth (local memory bus).
   double local_bandwidth_bytes_per_sec = 25e9;
 
-  // ---- Two-sided transport (paper §3.2 design decision) -------------------
-  /// The paper uses reliable connections (RC) with SRQs, in contrast to
-  /// FaSST's unreliable datagrams (UD). UD halves the per-message NIC cost
-  /// but is limited to one MTU per SEND, so large responses (range-query
-  /// results) fragment into multiple messages.
-  enum class RpcTransport { kReliableConnection, kUnreliableDatagram };
-  RpcTransport rpc_transport = RpcTransport::kReliableConnection;
-  /// UD datagram payload limit (fragmentation unit).
-  uint32_t ud_mtu = 4096;
-  /// Per-message engine occupancy when using UD.
-  SimTime ud_engine_ns = 200;
-
   // ---- Fault injection -----------------------------------------------------
   /// Multiplies every wire traversal by a random factor in
   /// [1, 1 + latency_jitter] (deterministic per seed; 0 disables). Used to

@@ -150,54 +150,6 @@ TEST(StragglerTest, StragglerHurtsCoarseGrainedThroughput) {
   EXPECT_GT(degraded, 0.1 * healthy);
 }
 
-TEST(TransportTest, UdRpcSemanticsMatchRc) {
-  for (auto transport :
-       {rdma::FabricConfig::RpcTransport::kReliableConnection,
-        rdma::FabricConfig::RpcTransport::kUnreliableDatagram}) {
-    rdma::FabricConfig fc;
-    fc.num_memory_servers = 4;
-    fc.rpc_transport = transport;
-    const auto outcome = RunStress<CoarseGrainedIndex>(fc, 31);
-    EXPECT_GT(outcome.ops, 100u);
-    EXPECT_TRUE(outcome.sound) << outcome.report;
-  }
-}
-
-TEST(TransportTest, UdIsCheaperForSmallMessagesCostlierForLarge) {
-  auto throughput = [](rdma::FabricConfig::RpcTransport transport,
-                       const ycsb::WorkloadMix& mix) {
-    rdma::FabricConfig fc;
-    fc.num_memory_servers = 4;
-    fc.rpc_transport = transport;
-    fc.workers_per_server = 64;  // expose the NIC, not the CPU
-    fc.rpc_fixed_ns = 200;
-    fc.cpu_inner_node_ns = 50;
-    fc.cpu_leaf_node_ns = 50;
-    fc.twosided_engine_ns = 800;  // make message processing the bottleneck
-    fc.ud_engine_ns = 200;
-    fc.ud_mtu = 1024;
-    Cluster cluster(fc, 64 << 20);
-    IndexConfig config;
-    CoarseGrainedIndex index(cluster, config);
-    const uint64_t keys = 100000;
-    EXPECT_TRUE(index.BulkLoad(ycsb::GenerateDataset(keys)).ok());
-    ycsb::RunConfig run;
-    run.num_clients = 256;
-    run.warmup = kMillisecond;
-    run.duration = 10 * kMillisecond;
-    run.mix = mix;
-    return ycsb::RunWorkload(cluster, index, keys, run).ops_per_sec;
-  };
-  using Transport = rdma::FabricConfig::RpcTransport;
-  // Small messages (point queries): UD's cheaper per-message cost wins.
-  EXPECT_GT(throughput(Transport::kUnreliableDatagram, ycsb::WorkloadA()),
-            throughput(Transport::kReliableConnection, ycsb::WorkloadA()));
-  // Large responses (range results) fragment under UD.
-  EXPECT_LT(
-      throughput(Transport::kUnreliableDatagram, ycsb::WorkloadB(0.01)),
-      throughput(Transport::kReliableConnection, ycsb::WorkloadB(0.01)));
-}
-
 }  // namespace
 }  // namespace namtree::index
 
