@@ -491,10 +491,10 @@ void VerbAuditor::OnCasEffect(uint32_t client, RemotePtr target,
 }
 
 void VerbAuditor::OnFaaEffect(uint32_t client, RemotePtr target, uint64_t add,
-                              uint64_t prev, SimTime now) {
+                              uint64_t prev, SimTime now, uint64_t chain) {
   if (!enabled_) return;
   Tick(client);
-  RecordTrace(client, "FAA", target, 8, 0, now);
+  RecordTrace(client, "FAA", target, 8, chain, now);
   WordState* state = FindWord(target);
   if (state == nullptr) return;  // allocation cursors etc.
 

@@ -171,7 +171,7 @@ class VerbAuditor {
 
   /// A FETCH_AND_ADD executed: `prev` is the pre-image.
   void OnFaaEffect(uint32_t client, RemotePtr target, uint64_t add,
-                   uint64_t prev, SimTime now);
+                   uint64_t prev, SimTime now, uint64_t chain = 0);
 
   /// A posted WRITE was dropped in flight (its client crashed before the
   /// memory effect). Consumes the ticket without applying any checks.

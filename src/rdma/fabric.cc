@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <span>
 
 namespace namtree::rdma {
 
@@ -16,6 +17,7 @@ constexpr uint32_t kWriteHeaderBytes = 16;
 constexpr uint32_t kAtomicRequestBytes = 32;
 constexpr uint32_t kAtomicResponseBytes = 16;
 constexpr uint32_t kAckBytes = 8;
+constexpr uint32_t kEpochBytes = 8;
 
 /// Suite-wide schedule-exploration override: NAMTREE_SCHEDULE_SEED replays
 /// every fabric built by the process under the given schedule seed without
@@ -325,78 +327,30 @@ Fabric::NetFault Fabric::DrawNetFault(uint32_t client, uint32_t server,
   return fault;
 }
 
-sim::Task<EpochReadResult> Fabric::ReadClientEpoch(uint32_t reader,
-                                                   uint32_t target) {
-  if (!CountVerbAndCheckAlive(reader)) {
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    // A dead reader learns nothing; callers re-check alive.
-    co_return EpochReadResult{Status::OK(), true};
-  }
-  constexpr uint32_t kEpochBytes = 8;
-  // The registry record of `target` lives on server target % N; under
-  // replication its replica group is consulted in rank order so the probe
-  // survives the home server's death.
-  const uint32_t home = target % config_.num_memory_servers;
-  uint32_t server_id = home;
-  bool host_found = false;
-  for (uint32_t r = 0; r < replication_; ++r) {
-    const uint32_t candidate = (home + r) % config_.num_memory_servers;
-    if (ServerAlive(candidate)) {
-      server_id = candidate;
-      host_found = true;
-      break;
-    }
-  }
-  if (!host_found) {
-    // Every host of the record is gone: the post errs out locally.
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return EpochReadResult{
-        Status::Unavailable("liveness registry host dead"), true};
-  }
-  doorbells_.Inc();
-  signaled_verbs_.Inc();
-  MemoryServerEndpoint& server = memory_servers_[server_id];
-
-  if (IsLocal(reader, server_id)) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(server_id));
-    const SimTime done = bus.ReserveTransfer(
-        simulator_.now() + config_.local_latency_ns, kEpochBytes);
-    co_await sim::DelayUntil(simulator_, done);
-    if (!ServerVerbExecutes(server_id)) {
-      dropped_verbs_.Inc();
-      co_return EpochReadResult{
-          Status::Unavailable("liveness registry host dead"), true};
-    }
-    co_return EpochReadResult{Status::OK(), ClientAlive(target)};
-  }
-
-  ComputeEndpoint& compute = ComputeFor(reader);
-  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-  const SimTime t_req_out = compute.tx.ReserveTransfer(t_post,
-                                                       kReadRequestBytes);
-  const SimTime t_arrive = t_req_out + WireLatency();
-  const SimTime t_effect = server.engine.ReserveOccupancy(
-      t_arrive, EngineCost(server_id, config_.onesided_engine_ns));
-  server.rx.ReserveArrival(t_arrive - 1, kReadRequestBytes);
-
-  server.reads++;
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ServerVerbExecutes(server_id)) {  // host died with the READ in flight
-    dropped_verbs_.Inc();
-    co_return EpochReadResult{
-        Status::Unavailable("liveness registry host dead"), true};
-  }
-  const bool alive = ClientAlive(target);
-
-  const SimTime t_tx = server.tx.ReserveTransfer(t_effect, kEpochBytes);
-  const SimTime first_byte_at_client =
-      t_tx - server.tx.TransferDuration(kEpochBytes) + WireLatency();
-  const SimTime done = compute.rx.ReserveArrival(first_byte_at_client,
-                                                 kEpochBytes);
-  co_await sim::DelayUntil(simulator_, done);
-  co_return EpochReadResult{Status::OK(), alive};
-}
+const Fabric::VerbProfile Fabric::kSignaledProfile{
+    .engine_ns = &FabricConfig::onesided_engine_ns,
+    .net_faults = true,
+    .chained = false,
+    .drop_at_post = true,
+    .respond_at_effect = true,
+    .lost_at_effect = true,
+};
+const Fabric::VerbProfile Fabric::kChainProfile{
+    .engine_ns = &FabricConfig::unsignaled_engine_ns,
+    .net_faults = true,
+    .chained = true,
+    .drop_at_post = false,
+    .respond_at_effect = false,
+    .lost_at_effect = false,
+};
+const Fabric::VerbProfile Fabric::kEpochProfile{
+    .engine_ns = &FabricConfig::onesided_engine_ns,
+    .net_faults = false,
+    .chained = false,
+    .drop_at_post = true,
+    .respond_at_effect = true,
+    .lost_at_effect = true,
+};
 
 uint8_t* Fabric::TargetAddress(RemotePtr ptr, uint32_t len) {
   assert(!ptr.is_null());
@@ -407,100 +361,409 @@ uint8_t* Fabric::TargetAddress(RemotePtr ptr, uint32_t len) {
   return ep.region->at(ptr.offset());
 }
 
-sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
-                                       void* dst, uint32_t len) {
+SimTime Fabric::ReserveRequest(uint32_t client, uint32_t server_id,
+                               const RequestLeg& leg) {
+  MemoryServerEndpoint& server = memory_servers_[server_id];
+  if (IsLocal(client, server_id)) {
+    // Co-located: the machine-local memory bus replaces post, wire, ports.
+    const SimTime moved =
+        LocalBus(config_.MemoryServerMachine(server_id))
+            .ReserveTransfer(std::max(simulator_.now() +
+                                          config_.local_latency_ns,
+                                      leg.floor),
+                             leg.local_bytes);
+    return leg.engine_when_local
+               ? server.engine.ReserveOccupancy(moved, leg.engine_ns)
+               : moved;
+  }
+  sim::Link& tx = ComputeFor(client).tx;
+  const SimTime t_out = tx.ReserveTransfer(
+      simulator_.now() + config_.nic_post_ns, leg.wire_bytes);
+  SimTime t_arrive;
+  if (leg.payload) {
+    const SimTime first_byte = t_out - tx.TransferDuration(leg.wire_bytes) +
+                               WireLatency() + leg.extra_delay;
+    t_arrive = std::max(server.rx.ReserveArrival(first_byte, leg.wire_bytes),
+                        leg.floor);
+  } else {
+    t_arrive = std::max(t_out + WireLatency() + leg.extra_delay, leg.floor);
+    server.rx.ReserveArrival(t_arrive - 1, leg.wire_bytes);
+  }
+  return server.engine.ReserveOccupancy(t_arrive, leg.engine_ns);
+}
+
+SimTime Fabric::ReserveResponse(uint32_t client, uint32_t server_id,
+                                SimTime from, uint32_t bytes) {
+  sim::Link& tx = memory_servers_[server_id].tx;
+  const SimTime t_out = tx.ReserveTransfer(from, bytes);
+  const SimTime first_byte =
+      t_out - tx.TransferDuration(bytes) + WireLatency();
+  return ComputeFor(client).rx.ReserveArrival(first_byte, bytes);
+}
+
+SimTime Fabric::ReserveCompletion(uint32_t client, const ChainOp& op,
+                                  SimTime effect, bool signaled_tail) {
+  const uint32_t sid = op.target.server_id();
+  if (IsLocal(client, sid)) {
+    return op.atomic() ? effect + config_.local_latency_ns : effect;
+  }
+  switch (op.kind) {
+    case ChainOp::Kind::kWrite:
+      // Only the signaled tail acks back to the initiator; the acks of
+      // unsignaled members coalesce into it.
+      if (signaled_tail) {
+        memory_servers_[sid].tx.ReserveTransfer(effect, kAckBytes);
+      }
+      return effect + WireLatency();
+    case ChainOp::Kind::kCas:
+    case ChainOp::Kind::kFaa:
+      memory_servers_[sid].tx.ReserveTransfer(effect, kAtomicResponseBytes);
+      return ComputeFor(client).rx.ReserveArrival(effect + WireLatency(),
+                                                  kAtomicResponseBytes);
+    case ChainOp::Kind::kRead:
+    case ChainOp::Kind::kEpoch:
+      break;
+  }
+  return ReserveResponse(client, sid, effect, op.len);
+}
+
+uint64_t Fabric::ApplyEffect(uint32_t client, const ChainOp& op,
+                             bool duplicated, uint64_t audit_ticket,
+                             uint64_t chain_id) {
+  const SimTime now = simulator_.now();
+  switch (op.kind) {
+    case ChainOp::Kind::kRead:
+      if (auditor_) {
+        auditor_->OnReadEffect(client, op.target, op.len, now, chain_id);
+      }
+      std::memcpy(op.dst, TargetAddress(op.target, op.len), op.len);
+      return 0;
+    case ChainOp::Kind::kWrite:
+      // A duplicated WRITE lands the same bytes again: byte-idempotent,
+      // so no second auditor effect (the sanctioned duplicate).
+      if (auditor_) auditor_->OnWriteEffect(audit_ticket, op.src, now);
+      std::memcpy(TargetAddress(op.target, op.len), op.src, op.len);
+      return 0;
+    case ChainOp::Kind::kEpoch:
+      return ClientAlive(op.subject) ? 1 : 0;
+    case ChainOp::Kind::kCas:
+    case ChainOp::Kind::kFaa:
+      break;
+  }
+  // A forced atomic duplicate (exact fault point only) executes twice. CAS
+  // duplication is self-neutralising — after a successful first swap the
+  // word no longer matches `expected` — and only the first execution is
+  // reported. FAA is NOT idempotent: it adds again, and the second effect
+  // is reported as its own event so an unsanctioned duplicate trips the
+  // auditor (a duplicated release is kUnlockWithoutLock).
+  uint8_t* word = TargetAddress(op.target, 8);
+  uint64_t pre_image = 0;
+  for (int pass = 0; pass < (duplicated ? 2 : 1); ++pass) {
+    uint64_t current;
+    std::memcpy(&current, word, 8);
+    if (pass == 0) pre_image = current;
+    if (op.kind == ChainOp::Kind::kCas) {
+      if (current == op.expected) std::memcpy(word, &op.desired, 8);
+      if (auditor_ && pass == 0) {
+        auditor_->OnCasEffect(client, op.target, op.expected, op.desired,
+                              current, now, chain_id);
+      }
+    } else {
+      const uint64_t updated = current + op.desired;
+      std::memcpy(word, &updated, 8);
+      if (auditor_) {
+        auditor_->OnFaaEffect(client, op.target, op.desired, current, now,
+                              chain_id);
+      }
+    }
+  }
+  if (op.result != nullptr) *op.result = pre_image;
+  return pre_image;
+}
+
+sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
+                                             std::vector<ChainOp> chain,
+                                             ChainOp single,
+                                             VerbProfile profile) {
+  const std::span<const ChainOp> ops =
+      profile.chained ? std::span<const ChainOp>(chain)
+                      : std::span<const ChainOp>(&single, 1);
+  if (ops.empty()) co_return VerbOutcome{};
+  // One doorbell, one crash-point tick for the whole post.
   if (!CountVerbAndCheckAlive(client)) {
-    // Dead client: the verb never leaves the NIC. Charging the post cost
-    // keeps virtual time moving for any coroutine still driving verbs.
+    // Dead client: the post never leaves the NIC. Charging the post cost
+    // keeps virtual time moving for any coroutine still driving verbs; a
+    // dead caller observes nothing anyway.
     dropped_verbs_.Inc();
     co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return VerbCompletion::kOk;  // a dead caller observes nothing anyway
+    co_return VerbOutcome{};
   }
-  NetFault net;
-  if (NetFaultsLive()) net = DrawNetFault(client, src.server_id(), false);
+  if (single.kind == ChainOp::Kind::kEpoch) {
+    // The registry record of `subject` lives on server subject % N; under
+    // replication its replica group is consulted in rank order so the
+    // probe survives the home server's death.
+    const uint32_t servers = config_.num_memory_servers;
+    const uint32_t home = single.subject % servers;
+    uint32_t rank = 0;
+    while (rank < replication_ && !ServerAlive((home + rank) % servers)) {
+      ++rank;
+    }
+    if (rank == replication_) {
+      // Every host of the record is gone: the post errs out locally.
+      co_await sim::Delay(simulator_, config_.nic_post_ns);
+      co_return VerbOutcome{.target_dead = true};
+    }
+    single.target = RemotePtr::Make((home + rank) % servers, 0);
+  }
   doorbells_.Inc();
-  signaled_verbs_.Inc();
-  if (net.kind == NetFaultKind::kDropVerb) {
-    // Lost before the target NIC: no memory effect, no completion. The
-    // caller's NIC gives up after the retransmission budget.
-    (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
-    co_await sim::Delay(simulator_,
-                        config_.nic_post_ns + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
-  }
-  if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  MemoryServerEndpoint& server = memory_servers_[src.server_id()];
-  uint8_t* remote = TargetAddress(src, len);
+  signaled_verbs_.Inc();  // the tail carries the post's only completion
+  unsignaled_verbs_.Inc(ops.size() - 1);
+  const uint64_t chain_id = profile.chained ? next_chain_id_++ : 0;
+  // A READ-only chain (head-node prefetch) has independent members; any
+  // other member makes it ordered — each member's effect waits for its
+  // predecessor, as the initiating NIC streams WQEs in posting order.
+  const bool ordered =
+      std::any_of(ops.begin(), ops.end(), [](const ChainOp& op) {
+        return op.kind != ChainOp::Kind::kRead;
+      });
 
-  if (IsLocal(client, src.server_id())) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(src.server_id()));
-    const SimTime done = bus.ReserveTransfer(
-        simulator_.now() + config_.local_latency_ns, len);
-    co_await sim::DelayUntil(simulator_, done);
-    if (!ClientAlive(client)) {
-      dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
+  struct Member {
+    NetFault fault;
+    SimTime effect = 0;
+    uint64_t audit_ticket = 0;
+    size_t index = 0;
+    bool bus_only = false;  ///< co-located READ/WRITE off the NIC
+  };
+  // A standalone verb keeps its one member in the frame: no allocation.
+  Member first;
+  std::vector<Member> rest(ops.size() > 1 ? ops.size() : 0);
+  const std::span<Member> members =
+      rest.empty() ? std::span<Member>(&first, 1) : std::span<Member>(rest);
+
+  // Network faults hit members individually (one draw per member; an
+  // exact fault point matching the post's verb index lands on its first
+  // member). The first member lost before the NIC also kills the
+  // not-yet-posted tail of an ordered chain — the initiating NIC stops
+  // streaming WQEs past a faulted one — and any loss (member or the
+  // signaled tail's ack) surfaces as a kLost completion.
+  size_t net_drop_from = ops.size();
+  bool completion_lost = false;
+  if (profile.net_faults && NetFaultsLive()) {
+    for (size_t i = 0; i < ops.size(); ++i) {
+      NetFault& fault = members[i].fault;
+      fault = DrawNetFault(client, ops[i].target.server_id(), ops[i].atomic());
+      if (fault.kind == NetFaultKind::kDropVerb) {
+        if (profile.drop_at_post) {
+          // Lost before the target NIC: no memory effect, no completion.
+          // The caller's NIC gives up after the retransmission budget.
+          (fault.partitioned ? net_partitioned_drops_ : net_dropped_verbs_)
+              .Inc();
+          co_await sim::Delay(simulator_, config_.nic_post_ns +
+                                              config_.net_verb_timeout_ns);
+          co_return VerbOutcome{.completion = VerbCompletion::kLost};
+        }
+        if (ordered) net_drop_from = std::min(net_drop_from, i);
+        completion_lost = true;
+      } else if (fault.kind == NetFaultKind::kDropCompletion) {
+        completion_lost = true;
+        if (!profile.lost_at_effect) net_dropped_completions_.Inc();
+      }
+      if (fault.extra_delay > 0) net_delayed_verbs_.Inc();
     }
-    if (!ServerVerbExecutes(src.server_id())) {  // target region is gone
-      dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
+  }
+
+  // Route and reserve every member at post time. A chain completes no
+  // earlier than its post; a standalone verb when its completion arrives.
+  SimTime done =
+      profile.respond_at_effect ? 0 : simulator_.now() + config_.nic_post_ns;
+  SimTime prev_effect = 0;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const ChainOp& op = ops[i];
+    Member& m = members[i];
+    m.index = i;
+    const uint32_t sid = op.target.server_id();
+    MemoryServerEndpoint& server = memory_servers_[sid];
+    m.bus_only =
+        profile.respond_at_effect && !op.atomic() && IsLocal(client, sid);
+    if (op.kind == ChainOp::Kind::kWrite && auditor_) {
+      m.audit_ticket = auditor_->OnWritePosted(client, op.target, op.len,
+                                               simulator_.now(), chain_id);
     }
-    if (auditor_) auditor_->OnReadEffect(client, src, len, simulator_.now());
-    std::memcpy(dst, remote, len);
-    if (net.kind == NetFaultKind::kDropCompletion) {
+    RequestLeg leg;
+    leg.engine_ns = op.atomic() ? config_.atomic_engine_ns
+                                : EngineCost(sid, config_.*profile.engine_ns);
+    leg.extra_delay = m.fault.extra_delay;
+    leg.floor = ordered ? prev_effect : 0;
+    if (op.atomic()) {
+      leg.local_bytes = leg.wire_bytes = kAtomicRequestBytes;
+      leg.engine_when_local = true;
+    } else if (op.kind == ChainOp::Kind::kWrite) {
+      leg.local_bytes = op.len;
+      leg.wire_bytes = op.len + kWriteHeaderBytes;
+      leg.payload = true;
+    } else {
+      leg.local_bytes = op.len;
+      leg.wire_bytes = kReadRequestBytes;
+    }
+    m.effect = ReserveRequest(client, sid, leg);
+    if (op.atomic() || !profile.respond_at_effect) {
+      done = std::max(done, ReserveCompletion(client, op, m.effect,
+                                              i + 1 == ops.size()));
+    }
+    if (!m.bus_only) {
+      if (m.fault.kind == NetFaultKind::kDuplicate) {
+        // Retransmission re-executes the member at the NIC: a second
+        // engine occupancy, and the effect lands at the later slot.
+        net_duplicates_.Inc();
+        m.effect = server.engine.ReserveOccupancy(m.effect, leg.engine_ns);
+      }
+      uint64_t& executed = op.kind == ChainOp::Kind::kWrite ? server.writes
+                           : op.atomic()                    ? server.atomics
+                                                            : server.reads;
+      executed += m.fault.kind == NetFaultKind::kDuplicate ? 2 : 1;
+    }
+    prev_effect = m.effect;
+  }
+
+  // Perform the memory effects in virtual-time order (equals posting order
+  // for ordered chains).
+  if (members.size() > 1) {
+    std::stable_sort(members.begin(), members.end(),
+                     [](const Member& a, const Member& b) {
+                       return a.effect < b.effect;
+                     });
+  }
+  uint64_t value = 0;
+  for (size_t mi = 0; mi < members.size(); ++mi) {
+    const Member& m = members[mi];
+    const ChainOp& op = ops[m.index];
+    const bool is_write = op.kind == ChainOp::Kind::kWrite;
+    co_await sim::DelayUntil(simulator_, m.effect);
+    // The epoch probe reports the subject's liveness whatever the reader's.
+    if (op.kind != ChainOp::Kind::kEpoch && !ClientAlive(client)) {
+      // Died mid-post: the not-yet-executed tail drops atomically.
+      for (size_t mj = mi; auditor_ && mj < members.size(); ++mj) {
+        if (ops[members[mj].index].kind == ChainOp::Kind::kWrite) {
+          auditor_->DropWrite(members[mj].audit_ticket);
+        }
+      }
+      dropped_verbs_.Inc();
+      co_return VerbOutcome{};
+    }
+    // Network fault domain: a member lost before the NIC drops here, and
+    // so does the unexecuted tail behind it (net_drop_from marks where the
+    // NIC stopped streaming).
+    if (m.fault.kind == NetFaultKind::kDropVerb || m.index >= net_drop_from) {
+      if (auditor_ && is_write) auditor_->DropWrite(m.audit_ticket);
+      (m.fault.partitioned ? net_partitioned_drops_ : net_dropped_verbs_)
+          .Inc();
+      continue;
+    }
+    // Server fault domain: a member whose target server is dead (or dies
+    // on exactly this effect), or whose fence server has died, drops
+    // individually — members bound for live servers still land, so an
+    // unlock aimed at a live primary is not lost to a dead backup.
+    const bool fenced_out =
+        op.fence_server >= 0 &&
+        !ServerAlive(static_cast<uint32_t>(op.fence_server));
+    if (fenced_out || !ServerVerbExecutes(op.target.server_id())) {
+      if (auditor_ && is_write) auditor_->DropWrite(m.audit_ticket);
+      dropped_verbs_.Inc();
+      if (profile.drop_at_post) co_return VerbOutcome{.target_dead = true};
+      continue;
+    }
+    value = ApplyEffect(client, op,
+                        m.fault.kind == NetFaultKind::kDuplicate,
+                        m.audit_ticket, chain_id);
+    if (profile.lost_at_effect &&
+        m.fault.kind == NetFaultKind::kDropCompletion) {
+      // The effect happened; the acknowledgement (and any pre-image) was
+      // lost. The caller resolves by reading protocol state back
+      // (docs/fault_model.md §8).
       net_dropped_completions_.Inc();
-      co_await sim::Delay(simulator_, config_.net_verb_timeout_ns);
-      co_return VerbCompletion::kLost;
+      co_await sim::DelayUntil(
+          simulator_, (m.bus_only ? simulator_.now() : m.effect) +
+                          config_.net_verb_timeout_ns);
+      co_return VerbOutcome{.completion = VerbCompletion::kLost};
     }
-    co_return VerbCompletion::kOk;
+    if (profile.respond_at_effect && !op.atomic()) {
+      done = std::max(done, ReserveCompletion(client, op, m.effect, true));
+    }
   }
-
-  ComputeEndpoint& compute = ComputeFor(client);
-  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-  const SimTime t_req_out = compute.tx.ReserveTransfer(t_post,
-                                                       kReadRequestBytes);
-  const SimTime t_arrive = t_req_out + WireLatency() + net.extra_delay;
-  SimTime t_effect =
-      server.engine.ReserveOccupancy(
-          t_arrive, EngineCost(src.server_id(), config_.onesided_engine_ns));
-  server.rx.ReserveArrival(t_arrive - 1, kReadRequestBytes);
-
-  server.reads++;
-  if (net.kind == NetFaultKind::kDuplicate) {
-    // Retransmission re-executes the READ at the NIC: a second engine
-    // occupancy, harmless to memory. The client sees one response.
-    net_duplicates_.Inc();
-    server.reads++;
-    t_effect = server.engine.ReserveOccupancy(
-        t_effect, EngineCost(src.server_id(), config_.onesided_engine_ns));
-  }
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ClientAlive(client)) {  // died with the verb in flight: drop it
-    dropped_verbs_.Inc();
-    co_return VerbCompletion::kOk;
-  }
-  if (!ServerVerbExecutes(src.server_id())) {  // target region is gone
-    dropped_verbs_.Inc();
-    co_return VerbCompletion::kOk;
-  }
-  if (auditor_) auditor_->OnReadEffect(client, src, len, simulator_.now());
-  std::memcpy(dst, remote, len);
-
-  if (net.kind == NetFaultKind::kDropCompletion) {
-    // The response never reaches the client: the bytes are in flight but
-    // unacknowledged, so the caller must treat the buffer as unspecified.
-    net_dropped_completions_.Inc();
+  if (completion_lost) {
+    // The signaled tail's acknowledgement never arrives: whatever subset
+    // of effects landed stays, but the poster learns nothing and gives up
+    // after the retransmission budget.
     co_await sim::DelayUntil(simulator_,
-                             t_effect + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
+                             done + config_.net_verb_timeout_ns);
+    co_return VerbOutcome{.completion = VerbCompletion::kLost};
   }
+  // A co-located READ/WRITE off the NIC completed with its bus transfer.
+  if (!members[0].bus_only) co_await sim::DelayUntil(simulator_, done);
+  co_return VerbOutcome{.value = value, .executed = true};
+}
 
-  const SimTime t_tx = server.tx.ReserveTransfer(t_effect, len);
-  const SimTime first_byte_at_client =
-      t_tx - server.tx.TransferDuration(len) + WireLatency();
-  const SimTime done = compute.rx.ReserveArrival(first_byte_at_client, len);
-  co_await sim::DelayUntil(simulator_, done);
-  co_return VerbCompletion::kOk;
+sim::Task<EpochReadResult> Fabric::ReadClientEpoch(uint32_t reader,
+                                                   uint32_t target) {
+  ChainOp probe;
+  probe.kind = ChainOp::Kind::kEpoch;
+  probe.len = kEpochBytes;
+  probe.subject = target;
+  const VerbOutcome probed = co_await Post(reader, {}, probe, kEpochProfile);
+  // A dead registry host must surface (waiters bound their probing); a
+  // dead reader learns nothing and gets OK/true.
+  if (probed.target_dead) {
+    co_return EpochReadResult{
+        Status::Unavailable("liveness registry host dead"), true};
+  }
+  co_return EpochReadResult{Status::OK(),
+                            !probed.executed || probed.value != 0};
+}
+
+sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
+                                       void* dst, uint32_t len) {
+  co_return (co_await Post(client, {}, ChainOp::Read(src, dst, len),
+                           kSignaledProfile))
+      .completion;
+}
+
+sim::Task<VerbCompletion> Fabric::Write(uint32_t client, RemotePtr dst,
+                                        const void* src, uint32_t len) {
+  co_return (co_await Post(client, {}, ChainOp::Write(dst, src, len),
+                           kSignaledProfile))
+      .completion;
+}
+
+sim::Task<AtomicResult> Fabric::CompareAndSwap(uint32_t client,
+                                               RemotePtr target,
+                                               uint64_t expected,
+                                               uint64_t desired) {
+  const VerbOutcome cas = co_await Post(
+      client, {}, ChainOp::Cas(target, expected, desired), kSignaledProfile);
+  co_return AtomicResult{cas.value, cas.completion};
+}
+
+sim::Task<AtomicResult> Fabric::FetchAndAdd(uint32_t client, RemotePtr target,
+                                            uint64_t add) {
+  const VerbOutcome faa =
+      co_await Post(client, {}, ChainOp::Faa(target, add), kSignaledProfile);
+  co_return AtomicResult{faa.value, faa.completion};
+}
+
+sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
+                                            std::vector<ChainOp> ops) {
+  co_return (co_await Post(client, std::move(ops), ChainOp{}, kChainProfile))
+      .completion;
+}
+
+sim::Task<VerbCompletion> Fabric::ReadBatch(uint32_t client,
+                                            std::vector<ReadRequest> requests) {
+  std::vector<ChainOp> ops;
+  ops.reserve(requests.size());
+  for (const ReadRequest& r : requests) {
+    ops.push_back(ChainOp::Read(r.src, r.dst, r.len));
+  }
+  co_return co_await PostChain(client, std::move(ops));
 }
 
 sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,
@@ -546,579 +809,6 @@ sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,
   pending->done.Set();
   std::memcpy(dst, pending->data.data(), len);
   co_return CombinedReadResult{false, pending->completion};
-}
-
-sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
-                                            std::vector<ChainOp> ops) {
-  if (ops.empty()) co_return VerbCompletion::kOk;
-  // One doorbell, one crash-point tick for the whole chain.
-  if (!CountVerbAndCheckAlive(client)) {
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return VerbCompletion::kOk;
-  }
-  doorbells_.Inc();
-  signaled_verbs_.Inc();  // the tail carries the chain's only completion
-  unsignaled_verbs_.Inc(ops.size() - 1);
-  const uint64_t chain_id = next_chain_id_++;
-
-  // A READ-only chain (head-node prefetch) has independent members; any
-  // WRITE or CAS makes the chain ordered — each member's effect waits for
-  // its predecessor, as the initiating NIC streams WQEs in posting order.
-  bool ordered = false;
-  for (const ChainOp& op : ops) {
-    if (op.kind != ChainOp::Kind::kRead) ordered = true;
-  }
-
-  // Network faults hit chain members individually (one fault draw per
-  // member; an exact fault point matching the chain's verb index lands on
-  // its first member). The first member lost before the NIC also kills the
-  // not-yet-posted tail of an ordered chain — the initiating NIC stops
-  // streaming WQEs past a faulted one — and any loss (member or the
-  // signaled tail's ack) surfaces as a kLost chain completion.
-  std::vector<NetFault> member_faults;
-  size_t net_drop_from = ops.size();
-  bool completion_lost = false;
-  if (NetFaultsLive()) {
-    member_faults.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      member_faults[i] = DrawNetFault(
-          client, ops[i].target.server_id(),
-          ops[i].kind == ChainOp::Kind::kCas);
-      if (member_faults[i].kind == NetFaultKind::kDropVerb) {
-        if (ordered) net_drop_from = std::min(net_drop_from, i);
-        completion_lost = true;
-      } else if (member_faults[i].kind == NetFaultKind::kDropCompletion) {
-        completion_lost = true;
-        net_dropped_completions_.Inc();
-      }
-      if (member_faults[i].extra_delay > 0) net_delayed_verbs_.Inc();
-    }
-  }
-
-  struct Pending {
-    SimTime effect;
-    size_t index;
-    uint64_t audit_ticket;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(ops.size());
-
-  ComputeEndpoint& compute = ComputeFor(client);
-  // One doorbell for the whole chain; only the final verb is signaled.
-  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-  SimTime overall_done = t_post;
-  SimTime prev_effect = 0;
-
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const ChainOp& op = ops[i];
-    const NetFault mf =
-        member_faults.empty() ? NetFault{} : member_faults[i];
-    const uint32_t sid = op.target.server_id();
-    MemoryServerEndpoint& server = memory_servers_[sid];
-    uint64_t ticket = 0;
-    if (op.kind == ChainOp::Kind::kWrite && auditor_) {
-      ticket = auditor_->OnWritePosted(client, op.target, op.len,
-                                       simulator_.now(), chain_id);
-    }
-
-    SimTime t_effect = 0;
-    SimTime done = 0;
-    if (IsLocal(client, sid)) {
-      sim::Link& bus = LocalBus(config_.MemoryServerMachine(sid));
-      SimTime start = simulator_.now() + config_.local_latency_ns;
-      if (ordered) start = std::max(start, prev_effect);
-      if (op.kind == ChainOp::Kind::kCas) {
-        // Atomics serialize through the NIC even locally (loopback) so
-        // that remote and local atomics remain mutually atomic; see §4.2.
-        t_effect = server.engine.ReserveOccupancy(
-            bus.ReserveTransfer(start, kAtomicRequestBytes),
-            config_.atomic_engine_ns);
-        done = t_effect + config_.local_latency_ns;
-      } else {
-        t_effect = bus.ReserveTransfer(start, op.len);
-        done = t_effect;
-      }
-    } else {
-      switch (op.kind) {
-        case ChainOp::Kind::kRead: {
-          const SimTime t_req_out =
-              compute.tx.ReserveTransfer(t_post, kReadRequestBytes);
-          SimTime t_arrive = t_req_out + WireLatency() + mf.extra_delay;
-          if (ordered) t_arrive = std::max(t_arrive, prev_effect);
-          t_effect = server.engine.ReserveOccupancy(
-              t_arrive, EngineCost(sid, config_.unsignaled_engine_ns));
-          server.rx.ReserveArrival(t_arrive - 1, kReadRequestBytes);
-          const SimTime t_tx = server.tx.ReserveTransfer(t_effect, op.len);
-          const SimTime first_byte =
-              t_tx - server.tx.TransferDuration(op.len) + WireLatency();
-          done = compute.rx.ReserveArrival(first_byte, op.len);
-          break;
-        }
-        case ChainOp::Kind::kWrite: {
-          const uint32_t wire_bytes = op.len + kWriteHeaderBytes;
-          const SimTime t_out = compute.tx.ReserveTransfer(t_post, wire_bytes);
-          const SimTime first_byte_at_server =
-              t_out - compute.tx.TransferDuration(wire_bytes) + WireLatency() +
-              mf.extra_delay;
-          SimTime t_rx =
-              server.rx.ReserveArrival(first_byte_at_server, wire_bytes);
-          if (ordered) t_rx = std::max(t_rx, prev_effect);
-          t_effect = server.engine.ReserveOccupancy(
-              t_rx, EngineCost(sid, config_.unsignaled_engine_ns));
-          // Only the signaled tail acks back to the initiator; the acks of
-          // the unsignaled members coalesce into it.
-          if (i + 1 == ops.size()) {
-            server.tx.ReserveTransfer(t_effect, kAckBytes);
-          }
-          done = t_effect + WireLatency();
-          break;
-        }
-        case ChainOp::Kind::kCas: {
-          const SimTime t_out =
-              compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
-          SimTime t_arrive = t_out + WireLatency() + mf.extra_delay;
-          if (ordered) t_arrive = std::max(t_arrive, prev_effect);
-          server.rx.ReserveArrival(t_arrive - 1, kAtomicRequestBytes);
-          t_effect = server.engine.ReserveOccupancy(t_arrive,
-                                                    config_.atomic_engine_ns);
-          server.tx.ReserveTransfer(t_effect, kAtomicResponseBytes);
-          done = compute.rx.ReserveArrival(t_effect + WireLatency(),
-                                           kAtomicResponseBytes);
-          break;
-        }
-      }
-    }
-    if (mf.kind == NetFaultKind::kDuplicate) {
-      // Retransmission re-executes this member at the NIC: a second
-      // engine occupancy; the re-executed memory effect happens at the
-      // (later) second slot in the effects loop below.
-      net_duplicates_.Inc();
-      t_effect = server.engine.ReserveOccupancy(
-          t_effect, op.kind == ChainOp::Kind::kCas
-                        ? config_.atomic_engine_ns
-                        : EngineCost(sid, config_.unsignaled_engine_ns));
-    }
-    switch (op.kind) {
-      case ChainOp::Kind::kRead: server.reads++; break;
-      case ChainOp::Kind::kWrite: server.writes++; break;
-      case ChainOp::Kind::kCas: server.atomics++; break;
-    }
-    if (mf.kind == NetFaultKind::kDuplicate) {
-      switch (op.kind) {
-        case ChainOp::Kind::kRead: server.reads++; break;
-        case ChainOp::Kind::kWrite: server.writes++; break;
-        case ChainOp::Kind::kCas: server.atomics++; break;
-      }
-    }
-    prev_effect = t_effect;
-    overall_done = std::max(overall_done, done);
-    pending.push_back({t_effect, i, ticket});
-  }
-
-  // Perform the memory effects in virtual-time order (equals posting order
-  // for ordered chains).
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const Pending& a, const Pending& b) {
-                     return a.effect < b.effect;
-                   });
-  for (size_t pi = 0; pi < pending.size(); ++pi) {
-    const Pending& p = pending[pi];
-    co_await sim::DelayUntil(simulator_, p.effect);
-    if (!ClientAlive(client)) {
-      // Died mid-chain: the not-yet-executed tail drops atomically.
-      if (auditor_) {
-        for (size_t pj = pi; pj < pending.size(); ++pj) {
-          if (ops[pending[pj].index].kind == ChainOp::Kind::kWrite) {
-            auditor_->DropWrite(pending[pj].audit_ticket);
-          }
-        }
-      }
-      dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
-    }
-    const ChainOp& op = ops[p.index];
-    // Network fault domain: a member lost before the NIC drops here, and
-    // so does the unexecuted tail behind it (ordered chains stream WQEs in
-    // posting order; net_drop_from marks where the NIC stopped).
-    if (!member_faults.empty() &&
-        (member_faults[p.index].kind == NetFaultKind::kDropVerb ||
-         p.index >= net_drop_from)) {
-      if (auditor_ && op.kind == ChainOp::Kind::kWrite) {
-        auditor_->DropWrite(p.audit_ticket);
-      }
-      (member_faults[p.index].partitioned ? net_partitioned_drops_
-                                          : net_dropped_verbs_)
-          .Inc();
-      continue;
-    }
-    // Server fault domain: a member whose target server is dead (or dies
-    // on exactly this effect), or whose fence server has died, drops
-    // individually — members bound for live servers still land, so an
-    // unlock aimed at a live primary is not lost to a dead backup.
-    const bool fenced_out =
-        op.fence_server >= 0 &&
-        !ServerAlive(static_cast<uint32_t>(op.fence_server));
-    if (fenced_out || !ServerVerbExecutes(op.target.server_id())) {
-      if (auditor_ && op.kind == ChainOp::Kind::kWrite) {
-        auditor_->DropWrite(p.audit_ticket);
-      }
-      dropped_verbs_.Inc();
-      continue;
-    }
-    switch (op.kind) {
-      case ChainOp::Kind::kRead: {
-        if (auditor_) {
-          auditor_->OnReadEffect(client, op.target, op.len, simulator_.now(),
-                                 chain_id);
-        }
-        std::memcpy(op.dst, TargetAddress(op.target, op.len), op.len);
-        break;
-      }
-      case ChainOp::Kind::kWrite: {
-        if (auditor_) {
-          auditor_->OnWriteEffect(p.audit_ticket, op.src, simulator_.now());
-        }
-        std::memcpy(TargetAddress(op.target, op.len), op.src, op.len);
-        break;
-      }
-      case ChainOp::Kind::kCas: {
-        uint8_t* remote = TargetAddress(op.target, 8);
-        uint64_t current;
-        std::memcpy(&current, remote, 8);
-        if (current == op.expected) {
-          std::memcpy(remote, &op.desired, 8);
-        }
-        if (auditor_) {
-          auditor_->OnCasEffect(client, op.target, op.expected, op.desired,
-                                current, simulator_.now(), chain_id);
-        }
-        if (op.result != nullptr) *op.result = current;
-        if (!member_faults.empty() &&
-            member_faults[p.index].kind == NetFaultKind::kDuplicate) {
-          // Forced atomic duplicate (exact fault point): the retransmitted
-          // CAS compares again. After a successful first execution the
-          // word no longer matches `expected`, so the re-execution is a
-          // no-op — CAS duplication is self-neutralising, unlike FAA.
-          uint64_t again;
-          std::memcpy(&again, remote, 8);
-          if (again == op.expected) std::memcpy(remote, &op.desired, 8);
-        }
-        break;
-      }
-    }
-  }
-  if (completion_lost) {
-    // The signaled tail's acknowledgement never arrives: whatever subset
-    // of effects landed stays, but the poster learns nothing and gives up
-    // after the retransmission budget.
-    co_await sim::DelayUntil(simulator_,
-                             overall_done + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
-  }
-  co_await sim::DelayUntil(simulator_, overall_done);
-  co_return VerbCompletion::kOk;
-}
-
-sim::Task<VerbCompletion> Fabric::ReadBatch(uint32_t client,
-                                            std::vector<ReadRequest> requests) {
-  std::vector<ChainOp> ops;
-  ops.reserve(requests.size());
-  for (const ReadRequest& r : requests) {
-    ops.push_back(ChainOp::Read(r.src, r.dst, r.len));
-  }
-  co_return co_await PostChain(client, std::move(ops));
-}
-
-sim::Task<VerbCompletion> Fabric::Write(uint32_t client, RemotePtr dst,
-                                        const void* src, uint32_t len) {
-  if (!CountVerbAndCheckAlive(client)) {
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return VerbCompletion::kOk;
-  }
-  NetFault net;
-  if (NetFaultsLive()) net = DrawNetFault(client, dst.server_id(), false);
-  doorbells_.Inc();
-  signaled_verbs_.Inc();
-  if (net.kind == NetFaultKind::kDropVerb) {
-    // Lost before the target NIC: the bytes never land, the ack never
-    // comes. Re-posting is safe (byte-idempotent payload).
-    (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
-    co_await sim::Delay(simulator_,
-                        config_.nic_post_ns + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
-  }
-  if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  MemoryServerEndpoint& server = memory_servers_[dst.server_id()];
-  uint8_t* remote = TargetAddress(dst, len);
-  const uint64_t audit_ticket =
-      auditor_ ? auditor_->OnWritePosted(client, dst, len, simulator_.now())
-               : 0;
-
-  if (IsLocal(client, dst.server_id())) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(dst.server_id()));
-    const SimTime done = bus.ReserveTransfer(
-        simulator_.now() + config_.local_latency_ns, len);
-    co_await sim::DelayUntil(simulator_, done);
-    if (!ClientAlive(client)) {
-      if (auditor_) auditor_->DropWrite(audit_ticket);
-      dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
-    }
-    if (!ServerVerbExecutes(dst.server_id())) {  // target region is gone
-      if (auditor_) auditor_->DropWrite(audit_ticket);
-      dropped_verbs_.Inc();
-      co_return VerbCompletion::kOk;
-    }
-    if (auditor_) auditor_->OnWriteEffect(audit_ticket, src, simulator_.now());
-    std::memcpy(remote, src, len);
-    if (net.kind == NetFaultKind::kDropCompletion) {
-      net_dropped_completions_.Inc();
-      co_await sim::Delay(simulator_, config_.net_verb_timeout_ns);
-      co_return VerbCompletion::kLost;
-    }
-    co_return VerbCompletion::kOk;
-  }
-
-  ComputeEndpoint& compute = ComputeFor(client);
-  const uint32_t wire_bytes = len + kWriteHeaderBytes;
-  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-  const SimTime t_out = compute.tx.ReserveTransfer(t_post, wire_bytes);
-  const SimTime first_byte_at_server =
-      t_out - compute.tx.TransferDuration(wire_bytes) +
-      WireLatency() + net.extra_delay;
-  const SimTime t_rx = server.rx.ReserveArrival(first_byte_at_server,
-                                                wire_bytes);
-  SimTime t_effect =
-      server.engine.ReserveOccupancy(
-          t_rx, EngineCost(dst.server_id(), config_.onesided_engine_ns));
-
-  server.writes++;
-  if (net.kind == NetFaultKind::kDuplicate) {
-    // Retransmission re-executes the WRITE at the NIC: a second engine
-    // occupancy landing the same bytes — byte-idempotent, so no second
-    // auditor effect (the sanctioned duplicate).
-    net_duplicates_.Inc();
-    server.writes++;
-    t_effect = server.engine.ReserveOccupancy(
-        t_effect, EngineCost(dst.server_id(), config_.onesided_engine_ns));
-  }
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ClientAlive(client)) {  // verb-atomic drop: nothing lands
-    if (auditor_) auditor_->DropWrite(audit_ticket);
-    dropped_verbs_.Inc();
-    co_return VerbCompletion::kOk;
-  }
-  if (!ServerVerbExecutes(dst.server_id())) {  // target region is gone
-    if (auditor_) auditor_->DropWrite(audit_ticket);
-    dropped_verbs_.Inc();
-    co_return VerbCompletion::kOk;
-  }
-  if (auditor_) auditor_->OnWriteEffect(audit_ticket, src, simulator_.now());
-  std::memcpy(remote, src, len);
-
-  if (net.kind == NetFaultKind::kDropCompletion) {
-    // The bytes landed; the ack did not. The caller resolves by reading
-    // the published word back (docs/fault_model.md §8).
-    net_dropped_completions_.Inc();
-    co_await sim::DelayUntil(simulator_,
-                             t_effect + config_.net_verb_timeout_ns);
-    co_return VerbCompletion::kLost;
-  }
-
-  server.tx.ReserveTransfer(t_effect, kAckBytes);
-  const SimTime done = t_effect + WireLatency();
-  co_await sim::DelayUntil(simulator_, done);
-  co_return VerbCompletion::kOk;
-}
-
-sim::Task<AtomicResult> Fabric::CompareAndSwap(uint32_t client,
-                                               RemotePtr target,
-                                               uint64_t expected,
-                                               uint64_t desired) {
-  if (!CountVerbAndCheckAlive(client)) {
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    // Meaningless to a dead caller; RemoteOps checks alive().
-    co_return AtomicResult{};
-  }
-  NetFault net;
-  if (NetFaultsLive()) net = DrawNetFault(client, target.server_id(), true);
-  doorbells_.Inc();
-  signaled_verbs_.Inc();
-  if (net.kind == NetFaultKind::kDropVerb) {
-    // Lost before the NIC: no swap happened. Indistinguishable (to the
-    // caller) from a lost ack after a successful swap — resolved by
-    // reading the word back.
-    (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
-    co_await sim::Delay(simulator_,
-                        config_.nic_post_ns + config_.net_verb_timeout_ns);
-    co_return AtomicResult{0, VerbCompletion::kLost};
-  }
-  if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  MemoryServerEndpoint& server = memory_servers_[target.server_id()];
-  uint8_t* remote = TargetAddress(target, 8);
-
-  SimTime t_effect;
-  SimTime done;
-  if (IsLocal(client, target.server_id())) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(target.server_id()));
-    // Atomics still serialize through the NIC even locally (loopback) so
-    // that remote and local atomics remain mutually atomic; see §4.2.
-    t_effect = server.engine.ReserveOccupancy(
-        bus.ReserveTransfer(simulator_.now() + config_.local_latency_ns,
-                            kAtomicRequestBytes),
-        config_.atomic_engine_ns);
-    done = t_effect + config_.local_latency_ns;
-  } else {
-    ComputeEndpoint& compute = ComputeFor(client);
-    const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-    const SimTime t_out =
-        compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
-    const SimTime t_arrive = t_out + WireLatency() + net.extra_delay;
-    server.rx.ReserveArrival(t_arrive - 1, kAtomicRequestBytes);
-    t_effect =
-        server.engine.ReserveOccupancy(t_arrive, config_.atomic_engine_ns);
-    server.tx.ReserveTransfer(t_effect, kAtomicResponseBytes);
-    done = compute.rx.ReserveArrival(t_effect + WireLatency(),
-                                     kAtomicResponseBytes);
-  }
-
-  server.atomics++;
-  if (net.kind == NetFaultKind::kDuplicate) {
-    // Forced atomic duplicate (exact fault point only): the NIC executes
-    // the CAS twice. A successful first swap makes the second a no-op, so
-    // only the engine pays; see FetchAndAdd for the non-neutral case.
-    net_duplicates_.Inc();
-    server.atomics++;
-    t_effect =
-        server.engine.ReserveOccupancy(t_effect, config_.atomic_engine_ns);
-  }
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ClientAlive(client)) {  // verb-atomic drop: no swap
-    dropped_verbs_.Inc();
-    co_return AtomicResult{};
-  }
-  if (!ServerVerbExecutes(target.server_id())) {  // target region is gone
-    dropped_verbs_.Inc();
-    co_return AtomicResult{};  // callers disambiguate via ServerAlive
-  }
-  uint64_t current;
-  std::memcpy(&current, remote, 8);
-  if (current == expected) {
-    std::memcpy(remote, &desired, 8);
-  }
-  if (auditor_) {
-    auditor_->OnCasEffect(client, target, expected, desired, current,
-                          simulator_.now());
-  }
-  if (net.kind == NetFaultKind::kDuplicate) {
-    uint64_t again;
-    std::memcpy(&again, remote, 8);
-    if (again == expected) std::memcpy(remote, &desired, 8);
-  }
-  if (net.kind == NetFaultKind::kDropCompletion) {
-    // The swap (or its failure) happened; the response was lost. The
-    // pre-image never reaches the caller — stamp read-back resolves it.
-    net_dropped_completions_.Inc();
-    co_await sim::DelayUntil(simulator_,
-                             t_effect + config_.net_verb_timeout_ns);
-    co_return AtomicResult{0, VerbCompletion::kLost};
-  }
-  co_await sim::DelayUntil(simulator_, done);
-  co_return AtomicResult{current, VerbCompletion::kOk};
-}
-
-sim::Task<AtomicResult> Fabric::FetchAndAdd(uint32_t client, RemotePtr target,
-                                            uint64_t add) {
-  if (!CountVerbAndCheckAlive(client)) {
-    dropped_verbs_.Inc();
-    co_await sim::Delay(simulator_, config_.nic_post_ns);
-    co_return AtomicResult{};
-  }
-  NetFault net;
-  if (NetFaultsLive()) net = DrawNetFault(client, target.server_id(), true);
-  doorbells_.Inc();
-  signaled_verbs_.Inc();
-  if (net.kind == NetFaultKind::kDropVerb) {
-    (net.partitioned ? net_partitioned_drops_ : net_dropped_verbs_).Inc();
-    co_await sim::Delay(simulator_,
-                        config_.nic_post_ns + config_.net_verb_timeout_ns);
-    co_return AtomicResult{0, VerbCompletion::kLost};
-  }
-  if (net.extra_delay > 0) net_delayed_verbs_.Inc();
-  MemoryServerEndpoint& server = memory_servers_[target.server_id()];
-  uint8_t* remote = TargetAddress(target, 8);
-
-  SimTime t_effect;
-  SimTime done;
-  if (IsLocal(client, target.server_id())) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(target.server_id()));
-    t_effect = server.engine.ReserveOccupancy(
-        bus.ReserveTransfer(simulator_.now() + config_.local_latency_ns,
-                            kAtomicRequestBytes),
-        config_.atomic_engine_ns);
-    done = t_effect + config_.local_latency_ns;
-  } else {
-    ComputeEndpoint& compute = ComputeFor(client);
-    const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-    const SimTime t_out =
-        compute.tx.ReserveTransfer(t_post, kAtomicRequestBytes);
-    const SimTime t_arrive = t_out + WireLatency() + net.extra_delay;
-    server.rx.ReserveArrival(t_arrive - 1, kAtomicRequestBytes);
-    t_effect =
-        server.engine.ReserveOccupancy(t_arrive, config_.atomic_engine_ns);
-    server.tx.ReserveTransfer(t_effect, kAtomicResponseBytes);
-    done = compute.rx.ReserveArrival(t_effect + WireLatency(),
-                                     kAtomicResponseBytes);
-  }
-
-  server.atomics++;
-  if (net.kind == NetFaultKind::kDuplicate) {
-    // Forced atomic duplicate (exact fault point only): FAA is NOT
-    // idempotent — the re-execution adds again, and the second effect is
-    // reported to the auditor as its own event so unsanctioned dups are
-    // caught (a duplicated release FAA trips kUnlockWithoutLock).
-    net_duplicates_.Inc();
-    server.atomics++;
-    t_effect =
-        server.engine.ReserveOccupancy(t_effect, config_.atomic_engine_ns);
-  }
-  co_await sim::DelayUntil(simulator_, t_effect);
-  if (!ClientAlive(client)) {  // verb-atomic drop: no add
-    dropped_verbs_.Inc();
-    co_return AtomicResult{};
-  }
-  if (!ServerVerbExecutes(target.server_id())) {  // target region is gone
-    dropped_verbs_.Inc();
-    co_return AtomicResult{};  // callers disambiguate via ServerAlive
-  }
-  uint64_t current;
-  std::memcpy(&current, remote, 8);
-  const uint64_t updated = current + add;
-  std::memcpy(remote, &updated, 8);
-  if (auditor_) {
-    auditor_->OnFaaEffect(client, target, add, current, simulator_.now());
-  }
-  if (net.kind == NetFaultKind::kDuplicate) {
-    uint64_t again;
-    std::memcpy(&again, remote, 8);
-    const uint64_t twice = again + add;
-    std::memcpy(remote, &twice, 8);
-    if (auditor_) {
-      auditor_->OnFaaEffect(client, target, add, again, simulator_.now());
-    }
-  }
-  if (net.kind == NetFaultKind::kDropCompletion) {
-    // The add happened; the pre-image never came back.
-    net_dropped_completions_.Inc();
-    co_await sim::DelayUntil(simulator_,
-                             t_effect + config_.net_verb_timeout_ns);
-    co_return AtomicResult{0, VerbCompletion::kLost};
-  }
-  co_await sim::DelayUntil(simulator_, done);
-  co_return AtomicResult{current, VerbCompletion::kOk};
 }
 
 sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
@@ -1176,31 +866,19 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
       co_return down;
     }
     MemoryServerEndpoint& server = memory_servers_[server_id];
-    const uint32_t wire_bytes = request.WireBytes();
-
-    SimTime t_deliver;
-    if (IsLocal(client, server_id)) {
-      sim::Link& bus = LocalBus(config_.MemoryServerMachine(server_id));
-      t_deliver = bus.ReserveTransfer(
-          simulator_.now() + config_.local_latency_ns, wire_bytes);
-    } else {
-      ComputeEndpoint& compute = ComputeFor(client);
-      const SimTime t_post = simulator_.now() + config_.nic_post_ns;
-      const SimTime t_out = compute.tx.ReserveTransfer(t_post, wire_bytes);
-      const SimTime t_arrive = t_out + WireLatency() + net.extra_delay;
-      server.rx.ReserveArrival(t_arrive - 1, wire_bytes);
-      t_deliver = server.engine.ReserveOccupancy(
-          t_arrive, EngineCost(server_id, config_.twosided_engine_ns));
-    }
-
+    const SimTime engine_ns = EngineCost(server_id, config_.twosided_engine_ns);
+    RequestLeg leg;
+    leg.local_bytes = leg.wire_bytes = request.WireBytes();
+    leg.engine_ns = engine_ns;
+    leg.extra_delay = net.extra_delay;
+    SimTime t_deliver = ReserveRequest(client, server_id, leg);
     server.sends++;
     if (net.kind == NetFaultKind::kDuplicate) {
       // A retransmitted SEND costs the NIC twice but the SRQ's completion
       // bookkeeping delivers the request to a handler once.
       net_duplicates_.Inc();
       server.sends++;
-      t_deliver = server.engine.ReserveOccupancy(
-          t_deliver, EngineCost(server_id, config_.twosided_engine_ns));
+      t_deliver = server.engine.ReserveOccupancy(t_deliver, engine_ns);
     }
     co_await sim::DelayUntil(simulator_, t_deliver);
     if (!ClientAlive(client)) {  // SEND dropped in flight
@@ -1318,24 +996,16 @@ void Fabric::Respond(uint32_t server_id, const IncomingRpc& incoming,
     dropped_responses_.Inc();
     return;
   }
-  MemoryServerEndpoint& server = memory_servers_[server_id];
-  const uint32_t wire_bytes = response.WireBytes();
-
   // The reply SEND always pays its costs — the responding NIC cannot know
   // the caller abandoned the call.
-  SimTime done;
-  if (IsLocal(incoming.client_id, server_id)) {
-    sim::Link& bus = LocalBus(config_.MemoryServerMachine(server_id));
-    done = bus.ReserveTransfer(simulator_.now() + config_.local_latency_ns,
-                               wire_bytes);
-  } else {
-    ComputeEndpoint& compute = ComputeFor(incoming.client_id);
-    const SimTime t_out =
-        server.tx.ReserveTransfer(simulator_.now(), wire_bytes);
-    const SimTime first_byte = t_out - server.tx.TransferDuration(wire_bytes) +
-                               WireLatency();
-    done = compute.rx.ReserveArrival(first_byte, wire_bytes);
-  }
+  const uint32_t wire_bytes = response.WireBytes();
+  const SimTime done =
+      IsLocal(incoming.client_id, server_id)
+          ? LocalBus(config_.MemoryServerMachine(server_id))
+                .ReserveTransfer(simulator_.now() + config_.local_latency_ns,
+                                 wire_bytes)
+          : ReserveResponse(incoming.client_id, server_id, simulator_.now(),
+                            wire_bytes);
 
   auto it = pending_calls_.find(incoming.call_id);
   if (it == pending_calls_.end()) {

@@ -268,9 +268,12 @@ class Fabric {
     uint32_t len;
   };
 
-  /// One element of a doorbell-batched verb chain (PostChain).
+  /// One verb descriptor: an element of a doorbell-batched chain
+  /// (PostChain), and what every standalone one-sided verb is built from.
+  /// kEpoch is ReadClientEpoch's effect: an 8-byte READ of `subject`'s
+  /// liveness record, not a chain member.
   struct ChainOp {
-    enum class Kind : uint8_t { kRead, kWrite, kCas };
+    enum class Kind : uint8_t { kRead, kWrite, kCas, kFaa, kEpoch };
 
     Kind kind = Kind::kRead;
     RemotePtr target;
@@ -278,8 +281,9 @@ class Fabric {
     const void* src = nullptr;  ///< WRITE source buffer
     uint32_t len = 0;
     uint64_t expected = 0;      ///< CAS compare value
-    uint64_t desired = 0;       ///< CAS swap value
-    uint64_t* result = nullptr; ///< CAS pre-image sink (optional)
+    uint64_t desired = 0;       ///< CAS swap value / FAA addend
+    uint64_t* result = nullptr; ///< CAS/FAA pre-image sink (optional)
+    uint32_t subject = 0;       ///< EPOCH: client whose liveness is read
     /// Fence: drop this member at effect time if the named server is dead
     /// by then (-1 = unfenced). Replicated unlock chains fence backup
     /// WRITEs on the lock-holding primary: once the primary dies, a
@@ -316,9 +320,20 @@ class Fabric {
       op.result = result;
       return op;
     }
+    static ChainOp Faa(RemotePtr target, uint64_t add,
+                       uint64_t* result = nullptr) {
+      ChainOp op;
+      op.kind = Kind::kFaa;
+      op.target = target;
+      op.len = 8;
+      op.desired = add;
+      op.result = result;
+      return op;
+    }
+    bool atomic() const { return kind == Kind::kCas || kind == Kind::kFaa; }
   };
 
-  /// Doorbell-batched chain of READ/WRITE/CAS verbs: all ops are posted
+  /// Doorbell-batched chain of READ/WRITE/CAS/FAA verbs: all ops are posted
   /// back-to-back with one doorbell and only the tail signaled, so each
   /// member is charged the cheap unsignaled engine cost (atomics keep
   /// their lock-unit cost). The whole chain counts as *one* verb against
@@ -327,9 +342,9 @@ class Fabric {
   ///
   /// Ordering: a READ-only chain executes its members independently (the
   /// selectively-signaled prefetch of §4.3). As soon as the chain contains
-  /// a WRITE or CAS, members take effect strictly in posting order — the
-  /// initiating NIC streams the WQEs sequentially — which is what makes
-  /// the {page WRITE, unlock WRITE} and split chains safe to combine.
+  /// a WRITE or an atomic, members take effect strictly in posting order —
+  /// the initiating NIC streams the WQEs sequentially — which is what
+  /// makes the {page WRITE, unlock WRITE} and split chains safe to combine.
   /// Completes when the signaled tail's response has arrived. Under
   /// network faults a chain member can be dropped individually; the first
   /// dropped member also kills the not-yet-executed tail (the NIC stops
@@ -564,6 +579,95 @@ class Fabric {
   /// from the response cache — exactly-once); only an exact fault point
   /// can force an atomic duplicate.
   NetFault DrawNetFault(uint32_t client, uint32_t server, bool is_atomic);
+
+  /// How one post is charged and resolved. The profile is data, picked by
+  /// the entry point; its fields keep the historical differences between
+  /// standalone verbs and chain members exactly (docs/simulator.md, "Verb
+  /// pipeline", has the table).
+  struct VerbProfile {
+    /// READ/WRITE engine occupancy (atomics always pay atomic_engine_ns).
+    SimTime FabricConfig::*engine_ns;
+    /// Draws a network fault per member (the epoch probe draws none).
+    bool net_faults;
+    /// Takes an auditor chain id from next_chain_id_ (else reports 0).
+    bool chained;
+    /// kDropVerb reserves nothing and completes kLost after nic_post_ns +
+    /// net_verb_timeout_ns, and an effect dropped at a dead server
+    /// completes at once. Otherwise a dropped member still reserves its
+    /// costs, drops at effect time (with an ordered chain's tail), and the
+    /// chain completes on its usual schedule.
+    bool drop_at_post;
+    /// READ/WRITE responses are reserved at effect time, after a
+    /// duplicate's second engine slot; co-located READ/WRITE ride the
+    /// memory bus only (no NIC verb count, no duplicate) and complete at
+    /// their effect; completion is not floored at the post time.
+    /// Otherwise every leg is reserved at post and the chain completes at
+    /// max(post time, each member's completion).
+    bool respond_at_effect;
+    /// A lost completion is counted and timed out from the effect;
+    /// otherwise it is counted at post and timed out from the completion.
+    bool lost_at_effect;
+  };
+
+  /// What a post reports to its entry point.
+  struct VerbOutcome {
+    VerbCompletion completion = VerbCompletion::kOk;
+    /// The atomic pre-image or the epoch snapshot (1 = alive); 0 unless
+    /// the post completed kOk.
+    uint64_t value = 0;
+    bool executed = false;     ///< ran through to a kOk completion
+    bool target_dead = false;  ///< standalone: a dead target dropped it
+  };
+
+  /// The one-sided verb pipeline behind every entry point: posts `chain`
+  /// (chained profiles) or `single` under `profile`, from the crash-point
+  /// tick through fault draws, route-and-reserve, effects and completion.
+  sim::Task<VerbOutcome> Post(uint32_t client, std::vector<ChainOp> chain,
+                              ChainOp single, VerbProfile profile);
+  /// Standalone READ/WRITE/CAS/FAA, doorbell-chain members, and the
+  /// liveness-registry probe.
+  static const VerbProfile kSignaledProfile;
+  static const VerbProfile kChainProfile;
+  static const VerbProfile kEpochProfile;
+
+  /// The request leg of one verb or SEND, as ReserveRequest charges it.
+  struct RequestLeg {
+    uint32_t local_bytes = 0;  ///< bytes over the co-located memory bus
+    uint32_t wire_bytes = 0;   ///< bytes on the wire when remote
+    SimTime engine_ns = 0;     ///< target engine occupancy
+    /// The payload streams in (WRITE): the engine starts once its last
+    /// byte has arrived, not its first.
+    bool payload = false;
+    /// Atomics serialize through the NIC engine even co-located (§4.2), so
+    /// remote and local atomics stay mutually atomic.
+    bool engine_when_local = false;
+    SimTime extra_delay = 0;   ///< injected network delay
+    SimTime floor = 0;         ///< ordered chains: the predecessor's effect
+  };
+
+  /// Route-and-reserve: charges `leg` from `client` to `server` over the
+  /// memory bus (co-located) or the poster's tx port, the wire and the
+  /// target's rx port and engine. Returns when the target executes it.
+  SimTime ReserveRequest(uint32_t client, uint32_t server,
+                         const RequestLeg& leg);
+
+  /// A data response (READ payload, RPC reply) of `bytes` leaving remote
+  /// `server`'s tx port at `from` for `client`; returns its arrival.
+  SimTime ReserveResponse(uint32_t client, uint32_t server, SimTime from,
+                          uint32_t bytes);
+
+  /// The completion leg of one-sided `op`, executed at `effect`: the READ
+  /// payload, the WRITE ack (sent only by a signaled tail) or the atomic's
+  /// pre-image. Co-located verbs complete at their effect (atomics after
+  /// the loopback). Returns when the completion reaches the poster.
+  SimTime ReserveCompletion(uint32_t client, const ChainOp& op,
+                            SimTime effect, bool signaled_tail);
+
+  /// Applies `op`'s memory effect now (twice for a duplicated atomic) and
+  /// reports it to the auditor. Returns the atomic pre-image, the epoch
+  /// snapshot (1 = alive), or 0.
+  uint64_t ApplyEffect(uint32_t client, const ChainOp& op, bool duplicated,
+                       uint64_t audit_ticket, uint64_t chain_id);
 
   uint64_t region_capacity(uint32_t server) const {
     return memory_servers_[server].region->capacity();

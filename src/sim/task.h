@@ -3,7 +3,9 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <utility>
 
 #include "sim/simulator.h"
@@ -12,12 +14,70 @@ namespace namtree::sim {
 
 namespace internal {
 
+/// Recycles coroutine frames through per-thread free lists, one per 64-byte
+/// size class up to 2 KiB, so the simulator's steady state (every verb,
+/// RPC and operation runs as a short-lived coroutine) stops calling into
+/// the heap. Sanitizer builds keep plain new/delete so use-after-free of a
+/// frame is still caught.
+class FramePool {
+ public:
+  static void* Allocate(std::size_t bytes) {
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    const std::size_t size_class = (bytes + kClassBytes - 1) / kClassBytes;
+    if (size_class < kClasses) {
+      Node*& head = Lists().head[size_class];
+      if (head != nullptr) return std::exchange(head, head->next);
+      return ::operator new(size_class * kClassBytes);
+    }
+#endif
+    return ::operator new(bytes);
+  }
+
+  static void Free(void* frame, std::size_t bytes) {
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    const std::size_t size_class = (bytes + kClassBytes - 1) / kClassBytes;
+    if (size_class < kClasses) {
+      Node*& head = Lists().head[size_class];
+      head = new (frame) Node{head};
+      return;
+    }
+#endif
+    ::operator delete(frame, bytes);
+  }
+
+ private:
+  static constexpr std::size_t kClassBytes = 64;
+  static constexpr std::size_t kClasses = 33;  // frames up to 2 KiB
+  struct Node {
+    Node* next;
+  };
+  struct FreeLists {
+    Node* head[kClasses] = {};
+    ~FreeLists() {
+      for (Node* node : head) {
+        while (node != nullptr) ::operator delete(std::exchange(node, node->next));
+      }
+    }
+  };
+  static FreeLists& Lists() {
+    static thread_local FreeLists lists;
+    return lists;
+  }
+};
+
 /// Shared promise behaviour for Task<T> and Task<void>: lazy start, resume
 /// of the awaiting parent on completion (symmetric transfer), and
 /// self-destruction for detached (Spawn-ed) root coroutines.
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   bool detached = false;
+
+  static void* operator new(std::size_t bytes) {
+    return FramePool::Allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) {
+    FramePool::Free(frame, bytes);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 
