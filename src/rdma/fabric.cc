@@ -19,6 +19,13 @@ constexpr uint32_t kAtomicResponseBytes = 16;
 constexpr uint32_t kAckBytes = 8;
 constexpr uint32_t kEpochBytes = 8;
 
+// An RPC reply carrying only a failure status.
+RpcResponse FailedRpc(StatusCode code) {
+  RpcResponse response;
+  response.status = static_cast<uint16_t>(code);
+  return response;
+}
+
 /// Suite-wide schedule-exploration override: NAMTREE_SCHEDULE_SEED replays
 /// every fabric built by the process under the given schedule seed without
 /// touching each construction site. An explicit FabricConfig::schedule_seed
@@ -182,9 +189,7 @@ void Fabric::OnServerDeathNow(uint32_t server) {
   for (auto& [call_id, pending] : pending_calls_) {
     (void)call_id;
     if (pending->server_id != server || pending->done.is_set()) continue;
-    pending->response = RpcResponse();
-    pending->response.status =
-        static_cast<uint16_t>(StatusCode::kUnavailable);
+    pending->response = FailedRpc(StatusCode::kUnavailable);
     pending->deliver_at = simulator_.now();
     pending->done.Set();
   }
@@ -244,13 +249,6 @@ void Fabric::PartitionLink(uint32_t client, uint32_t server, SimTime at_time) {
   auto [it, inserted] = partitioned_links_.emplace(
       std::make_pair(client, server), t);
   if (!inserted) it->second = std::min(it->second, t);
-}
-
-void Fabric::PartitionLinks(
-    const std::vector<std::pair<uint32_t, uint32_t>>& links, SimTime at_time) {
-  for (const auto& [client, server] : links) {
-    PartitionLink(client, server, at_time);
-  }
 }
 
 void Fabric::HealLink(uint32_t client, uint32_t server) {
@@ -530,7 +528,7 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
   struct Member {
     NetFault fault;
     SimTime effect = 0;
-    uint64_t audit_ticket = 0;
+    uint64_t audit_ticket = 0;  ///< WRITEs only; 0 is a no-op to DropWrite
     size_t index = 0;
     bool bus_only = false;  ///< co-located READ/WRITE off the NIC
   };
@@ -540,40 +538,16 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
   const std::span<Member> members =
       rest.empty() ? std::span<Member>(&first, 1) : std::span<Member>(rest);
 
-  // Network faults hit members individually (one draw per member; an
-  // exact fault point matching the post's verb index lands on its first
-  // member). The first member lost before the NIC also kills the
-  // not-yet-posted tail of an ordered chain — the initiating NIC stops
-  // streaming WQEs past a faulted one — and any loss (member or the
-  // signaled tail's ack) surfaces as a kLost completion.
+  // Draw, route and reserve every member at post time. A chain completes
+  // no earlier than its post; a standalone verb when its completion
+  // arrives. Network faults hit members individually (an exact fault point
+  // matching the post's verb index lands on its first member). The first
+  // member lost before the NIC also kills the not-yet-posted tail of an
+  // ordered chain — the initiating NIC stops streaming WQEs past a faulted
+  // one — and any loss (member or the signaled tail's ack) surfaces as a
+  // kLost completion.
   size_t net_drop_from = ops.size();
   bool completion_lost = false;
-  if (profile.net_faults && NetFaultsLive()) {
-    for (size_t i = 0; i < ops.size(); ++i) {
-      NetFault& fault = members[i].fault;
-      fault = DrawNetFault(client, ops[i].target.server_id(), ops[i].atomic());
-      if (fault.kind == NetFaultKind::kDropVerb) {
-        if (profile.drop_at_post) {
-          // Lost before the target NIC: no memory effect, no completion.
-          // The caller's NIC gives up after the retransmission budget.
-          (fault.partitioned ? net_partitioned_drops_ : net_dropped_verbs_)
-              .Inc();
-          co_await sim::Delay(simulator_, config_.nic_post_ns +
-                                              config_.net_verb_timeout_ns);
-          co_return VerbOutcome{.completion = VerbCompletion::kLost};
-        }
-        if (ordered) net_drop_from = std::min(net_drop_from, i);
-        completion_lost = true;
-      } else if (fault.kind == NetFaultKind::kDropCompletion) {
-        completion_lost = true;
-        if (!profile.lost_at_effect) net_dropped_completions_.Inc();
-      }
-      if (fault.extra_delay > 0) net_delayed_verbs_.Inc();
-    }
-  }
-
-  // Route and reserve every member at post time. A chain completes no
-  // earlier than its post; a standalone verb when its completion arrives.
   SimTime done =
       profile.respond_at_effect ? 0 : simulator_.now() + config_.nic_post_ns;
   SimTime prev_effect = 0;
@@ -582,6 +556,26 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
     Member& m = members[i];
     m.index = i;
     const uint32_t sid = op.target.server_id();
+    if (profile.net_faults && NetFaultsLive()) {
+      m.fault = DrawNetFault(client, sid, op.atomic());
+      if (m.fault.kind == NetFaultKind::kDropVerb) {
+        if (profile.drop_at_post) {
+          // Lost before the target NIC: no memory effect, no completion.
+          // The caller's NIC gives up after the retransmission budget.
+          (m.fault.partitioned ? net_partitioned_drops_ : net_dropped_verbs_)
+              .Inc();
+          co_await sim::Delay(simulator_, config_.nic_post_ns +
+                                              config_.net_verb_timeout_ns);
+          co_return VerbOutcome{.completion = VerbCompletion::kLost};
+        }
+        if (ordered) net_drop_from = std::min(net_drop_from, i);
+        completion_lost = true;
+      } else if (m.fault.kind == NetFaultKind::kDropCompletion) {
+        completion_lost = true;
+        if (!profile.lost_at_effect) net_dropped_completions_.Inc();
+      }
+      if (m.fault.extra_delay > 0) net_delayed_verbs_.Inc();
+    }
     MemoryServerEndpoint& server = memory_servers_[sid];
     m.bus_only =
         profile.respond_at_effect && !op.atomic() && IsLocal(client, sid);
@@ -637,15 +631,12 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
   for (size_t mi = 0; mi < members.size(); ++mi) {
     const Member& m = members[mi];
     const ChainOp& op = ops[m.index];
-    const bool is_write = op.kind == ChainOp::Kind::kWrite;
     co_await sim::DelayUntil(simulator_, m.effect);
     // The epoch probe reports the subject's liveness whatever the reader's.
     if (op.kind != ChainOp::Kind::kEpoch && !ClientAlive(client)) {
       // Died mid-post: the not-yet-executed tail drops atomically.
       for (size_t mj = mi; auditor_ && mj < members.size(); ++mj) {
-        if (ops[members[mj].index].kind == ChainOp::Kind::kWrite) {
-          auditor_->DropWrite(members[mj].audit_ticket);
-        }
+        auditor_->DropWrite(members[mj].audit_ticket);
       }
       dropped_verbs_.Inc();
       co_return VerbOutcome{};
@@ -654,7 +645,7 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
     // so does the unexecuted tail behind it (net_drop_from marks where the
     // NIC stopped streaming).
     if (m.fault.kind == NetFaultKind::kDropVerb || m.index >= net_drop_from) {
-      if (auditor_ && is_write) auditor_->DropWrite(m.audit_ticket);
+      if (auditor_) auditor_->DropWrite(m.audit_ticket);
       (m.fault.partitioned ? net_partitioned_drops_ : net_dropped_verbs_)
           .Inc();
       continue;
@@ -667,7 +658,7 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
         op.fence_server >= 0 &&
         !ServerAlive(static_cast<uint32_t>(op.fence_server));
     if (fenced_out || !ServerVerbExecutes(op.target.server_id())) {
-      if (auditor_ && is_write) auditor_->DropWrite(m.audit_ticket);
+      if (auditor_) auditor_->DropWrite(m.audit_ticket);
       dropped_verbs_.Inc();
       if (profile.drop_at_post) co_return VerbOutcome{.target_dead = true};
       continue;
@@ -838,9 +829,7 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
     if (!CountVerbAndCheckAlive(client)) {
       dropped_verbs_.Inc();
       co_await sim::Delay(simulator_, config_.nic_post_ns);
-      RpcResponse dead;
-      dead.status = static_cast<uint16_t>(StatusCode::kUnavailable);
-      co_return dead;
+      co_return FailedRpc(StatusCode::kUnavailable);
     }
     doorbells_.Inc();
     signaled_verbs_.Inc();
@@ -861,9 +850,7 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
       // with rpc_timeout_ns=0, where a lost delivery would hang forever).
       OnServerDeathNow(server_id);
       co_await sim::Delay(simulator_, config_.nic_post_ns);
-      RpcResponse down;
-      down.status = static_cast<uint16_t>(StatusCode::kUnavailable);
-      co_return down;
+      co_return FailedRpc(StatusCode::kUnavailable);
     }
     MemoryServerEndpoint& server = memory_servers_[server_id];
     const SimTime engine_ns = EngineCost(server_id, config_.twosided_engine_ns);
@@ -883,17 +870,13 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
     co_await sim::DelayUntil(simulator_, t_deliver);
     if (!ClientAlive(client)) {  // SEND dropped in flight
       dropped_verbs_.Inc();
-      RpcResponse dead;
-      dead.status = static_cast<uint16_t>(StatusCode::kUnavailable);
-      co_return dead;
+      co_return FailedRpc(StatusCode::kUnavailable);
     }
     if (!ServerVerbExecutes(server_id)) {
       // The server died with the SEND in flight: the request is lost and
       // no worker will ever see it.
       dropped_verbs_.Inc();
-      RpcResponse down;
-      down.status = static_cast<uint16_t>(StatusCode::kUnavailable);
-      co_return down;
+      co_return FailedRpc(StatusCode::kUnavailable);
     }
 
     const uint64_t call_id = next_call_id_++;
@@ -940,8 +923,7 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
     RpcResponse response = std::move(pending->response);
     pending_calls_.erase(call_id);
     if (!ClientAlive(client)) {
-      response = RpcResponse();
-      response.status = static_cast<uint16_t>(StatusCode::kUnavailable);
+      response = FailedRpc(StatusCode::kUnavailable);
     } else if (auditor_) {
       // The consumed reply closes the RPC pair: the handler's effects are
       // now ordered before everything the caller does next.
@@ -950,9 +932,7 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
     co_return response;
   }
   rpc_retry_exhausted_.Inc();
-  RpcResponse timed_out;
-  timed_out.status = static_cast<uint16_t>(StatusCode::kTimedOut);
-  co_return timed_out;
+  co_return FailedRpc(StatusCode::kTimedOut);
 }
 
 bool Fabric::AdmitRpc(uint32_t server_id, const IncomingRpc& rpc) {
@@ -1030,15 +1010,6 @@ Fabric::ServerStats Fabric::server_stats(uint32_t server) const {
   stats.atomics = ep.atomics;
   stats.sends = ep.sends;
   return stats;
-}
-
-uint64_t Fabric::TotalMemoryServerBytes() const {
-  uint64_t total = 0;
-  for (uint32_t s = 0; s < memory_servers_.size(); ++s) {
-    const ServerStats stats = server_stats(s);
-    total += stats.tx_bytes + stats.rx_bytes;
-  }
-  return total;
 }
 
 void Fabric::ResetStats() {

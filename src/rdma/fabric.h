@@ -170,11 +170,6 @@ class Fabric {
   /// alive — this is a partial partition, not a crash.
   void PartitionLink(uint32_t client, uint32_t server, SimTime at_time = 0);
 
-  /// Severs several links at once (each pair is {client, server}).
-  void PartitionLinks(
-      const std::vector<std::pair<uint32_t, uint32_t>>& links,
-      SimTime at_time = 0);
-
   /// Restores a severed link immediately.
   void HealLink(uint32_t client, uint32_t server);
 
@@ -475,9 +470,6 @@ class Fabric {
   };
 
   ServerStats server_stats(uint32_t server) const;
-
-  /// Sum of tx+rx bytes over all memory servers since the last reset.
-  uint64_t TotalMemoryServerBytes() const;
 
   /// Verbs issued by `client` so far (crash points key off this count).
   uint64_t client_verbs(uint32_t client) const {
