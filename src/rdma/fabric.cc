@@ -374,17 +374,21 @@ SimTime Fabric::ReserveRequest(uint32_t client, uint32_t server_id,
                ? server.engine.ReserveOccupancy(moved, leg.engine_ns)
                : moved;
   }
+  // Stage boundaries (docs/simulator.md, "Verb pipeline"): t_post,
+  // t_req_out, t_arrive, and the returned t_effect.
   sim::Link& tx = ComputeFor(client).tx;
-  const SimTime t_out = tx.ReserveTransfer(
-      simulator_.now() + config_.nic_post_ns, leg.wire_bytes);
+  const SimTime t_post = simulator_.now() + config_.nic_post_ns;
+  const SimTime t_req_out = tx.ReserveTransfer(t_post, leg.wire_bytes);
   SimTime t_arrive;
   if (leg.payload) {
-    const SimTime first_byte = t_out - tx.TransferDuration(leg.wire_bytes) +
+    const SimTime first_byte = t_req_out -
+                               tx.TransferDuration(leg.wire_bytes) +
                                WireLatency() + leg.extra_delay;
     t_arrive = std::max(server.rx.ReserveArrival(first_byte, leg.wire_bytes),
                         leg.floor);
   } else {
-    t_arrive = std::max(t_out + WireLatency() + leg.extra_delay, leg.floor);
+    t_arrive =
+        std::max(t_req_out + WireLatency() + leg.extra_delay, leg.floor);
     server.rx.ReserveArrival(t_arrive - 1, leg.wire_bytes);
   }
   return server.engine.ReserveOccupancy(t_arrive, leg.engine_ns);
