@@ -764,46 +764,49 @@ sim::Task<VerbCompletion> Fabric::ReadBatch(uint32_t client,
 sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,
                                                    RemotePtr src, void* dst,
                                                    uint32_t len) {
-  if (!config_.read_combining) {
-    // No combining: a same-client READ of an outstanding (src, len) posts
-    // anyway — the waste combining exists to remove.
-    if (inflight_reads_.size() <= client) inflight_reads_.resize(client + 1);
-    const InflightRead read{src.raw(), len};
-    if (std::find(inflight_reads_[client].begin(),
-                  inflight_reads_[client].end(),
-                  read) != inflight_reads_[client].end()) {
-      duplicate_inflight_reads_.Inc();
+  if (inflight_reads_.size() <= client) inflight_reads_.resize(client + 1);
+  const auto same_target = [&](const InflightRead& r) {
+    return r.src == src.raw() && r.len == len;
+  };
+  const std::vector<InflightRead>& mine = inflight_reads_[client];
+  auto it = std::find_if(mine.begin(), mine.end(), same_target);
+  if (it != mine.end()) {
+    if (config_.read_combining) {
+      // Attach to the outstanding verb: no doorbell, no duplicate. The
+      // shared_ptr keeps the landing buffer alive past the poster's erase.
+      std::shared_ptr<PendingRead> pending = it->pending;
+      combined_reads_.Inc();
+      co_await pending->done;
+      std::memcpy(dst, pending->data.data(), len);
+      co_return CombinedReadResult{true, pending->completion};
     }
-    inflight_reads_[client].push_back(read);
-    const VerbCompletion c = co_await Read(client, src, dst, len);
-    std::vector<InflightRead>& mine = inflight_reads_[client];
-    *std::find(mine.begin(), mine.end(), read) = mine.back();
-    mine.pop_back();
-    co_return CombinedReadResult{false, c};
+    // Without combining the duplicate posts anyway: the waste combining
+    // exists to remove.
+    duplicate_inflight_reads_.Inc();
   }
-  const auto key = std::make_tuple(client, src.raw(), len);
-  auto it = pending_reads_.find(key);
-  if (it != pending_reads_.end()) {
-    // Attach to the outstanding verb: no doorbell, no duplicate. The
-    // shared_ptr keeps the landing buffer alive past the poster's erase.
-    std::shared_ptr<PendingRead> pending = it->second;
-    combined_reads_.Inc();
-    co_await pending->done;
+  std::shared_ptr<PendingRead> pending;
+  if (config_.read_combining) {
+    pending = std::make_shared<PendingRead>(simulator_);
+    pending->data.resize(len);
+  }
+  inflight_reads_[client].push_back({src.raw(), len, pending});
+  const VerbCompletion completion =
+      co_await Read(client, src, pending ? pending->data.data() : dst, len);
+  std::vector<InflightRead>& now = inflight_reads_[client];
+  *std::find_if(now.begin(), now.end(), [&](const InflightRead& r) {
+    return same_target(r) && r.pending == pending;
+  }) = std::move(now.back());
+  now.pop_back();
+  if (pending) {
+    // Dropped verbs (dead client/server) leave `data` zero-initialised —
+    // as unspecified as any dropped READ's buffer; every caller re-checks
+    // liveness after resuming, poster and waiters alike. A lost completion
+    // propagates to every combined waiter (they share the missing ack).
+    pending->completion = completion;
+    pending->done.Set();
     std::memcpy(dst, pending->data.data(), len);
-    co_return CombinedReadResult{true, pending->completion};
   }
-  auto pending = std::make_shared<PendingRead>(simulator_);
-  pending->data.resize(len);
-  pending_reads_.emplace(key, pending);
-  pending->completion = co_await Read(client, src, pending->data.data(), len);
-  // Dropped verbs (dead client/server) leave `data` zero-initialised —
-  // as unspecified as any dropped READ's buffer; every caller re-checks
-  // liveness after resuming, poster and waiters alike. A lost completion
-  // propagates to every combined waiter (they share the missing ack).
-  pending_reads_.erase(key);
-  pending->done.Set();
-  std::memcpy(dst, pending->data.data(), len);
-  co_return CombinedReadResult{false, pending->completion};
+  co_return CombinedReadResult{false, completion};
 }
 
 sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -723,11 +722,12 @@ class Fabric {
   /// Doorbell-chain ids handed to the auditor so a race report can name the
   /// chain both verbs rode in (0 = standalone verb).
   uint64_t next_chain_id_ = 1;
-  /// In-flight combining state (FabricConfig::read_combining): one entry
-  /// per outstanding combinable READ, keyed (client, target raw, len).
-  /// Later same-key requesters park on `done` and copy out of `data`;
-  /// shared ownership keeps the landing buffer alive for waiters that
-  /// resume after the poster erased the table entry.
+  /// Each client's outstanding CombinedRead targets, indexed by client:
+  /// one entry per posted READ. With FabricConfig::read_combining the
+  /// poster owns a PendingRead that later same-target requesters park on
+  /// (`done`) and copy out of (`data`); shared ownership keeps the landing
+  /// buffer alive for waiters that resume after the poster's entry is
+  /// gone. Without combining, duplicates post too and are counted.
   struct PendingRead {
     explicit PendingRead(sim::Simulator& simulator) : done(simulator) {}
     std::vector<uint8_t> data;
@@ -735,15 +735,10 @@ class Fabric {
     /// Completion outcome of the primary verb, inherited by every waiter.
     VerbCompletion completion = VerbCompletion::kOk;
   };
-  std::map<std::tuple<uint32_t, uint64_t, uint32_t>,
-           std::shared_ptr<PendingRead>>
-      pending_reads_;
-  /// With combining off: each client's outstanding CombinedRead targets,
-  /// one entry per posted READ (duplicates included), indexed by client.
   struct InflightRead {
     uint64_t src = 0;
     uint32_t len = 0;
-    bool operator==(const InflightRead&) const = default;
+    std::shared_ptr<PendingRead> pending;  ///< combining only
   };
   std::vector<std::vector<InflightRead>> inflight_reads_;
   // Registered in the constructor under the family names documented at
