@@ -742,16 +742,16 @@ class Fabric {
   };
   std::vector<std::vector<InflightRead>> inflight_reads_;
   // Registered in the constructor under the family names documented at
-  // metrics(); ResetStats() zeroes the first four, the drop/timeout
-  // counters run for the fabric's lifetime.
+  // metrics(); ResetStats() zeroes the doorbell, signaled/unsignaled and
+  // combined-read counters, the rest run for the fabric's lifetime.
   metrics::Counter combined_reads_;
-  metrics::Counter duplicate_inflight_reads_;
   metrics::Counter dropped_verbs_;
   metrics::Counter dropped_responses_;
   metrics::Counter rpc_timeouts_;
   metrics::Counter signaled_verbs_;
   metrics::Counter unsignaled_verbs_;
   metrics::Counter doorbells_;
+  metrics::Counter duplicate_inflight_reads_;
   // Network-fault event families (never reset).
   metrics::Counter net_dropped_verbs_;
   metrics::Counter net_dropped_completions_;
