@@ -396,6 +396,10 @@ SimTime Fabric::ReserveRequest(uint32_t client, uint32_t server_id,
 
 SimTime Fabric::ReserveResponse(uint32_t client, uint32_t server_id,
                                 SimTime from, uint32_t bytes) {
+  if (IsLocal(client, server_id)) {
+    return LocalBus(config_.MemoryServerMachine(server_id))
+        .ReserveTransfer(from + config_.local_latency_ns, bytes);
+  }
   sim::Link& tx = memory_servers_[server_id].tx;
   const SimTime t_out = tx.ReserveTransfer(from, bytes);
   const SimTime first_byte =
@@ -484,12 +488,8 @@ uint64_t Fabric::ApplyEffect(uint32_t client, const ChainOp& op,
 }
 
 sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
-                                             std::vector<ChainOp> chain,
-                                             ChainOp single,
+                                             std::span<ChainOp> ops,
                                              VerbProfile profile) {
-  const std::span<const ChainOp> ops =
-      profile.chained ? std::span<const ChainOp>(chain)
-                      : std::span<const ChainOp>(&single, 1);
   if (ops.empty()) co_return VerbOutcome{};
   // One doorbell, one crash-point tick for the whole post.
   if (!CountVerbAndCheckAlive(client)) {
@@ -500,12 +500,12 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
     co_await sim::Delay(simulator_, config_.nic_post_ns);
     co_return VerbOutcome{};
   }
-  if (single.kind == ChainOp::Kind::kEpoch) {
+  if (ops[0].kind == ChainOp::Kind::kEpoch) {
     // The registry record of `subject` lives on server subject % N; under
     // replication its replica group is consulted in rank order so the
     // probe survives the home server's death.
     const uint32_t servers = config_.num_memory_servers;
-    const uint32_t home = single.subject % servers;
+    const uint32_t home = ops[0].subject % servers;
     uint32_t rank = 0;
     while (rank < replication_ && !ServerAlive((home + rank) % servers)) {
       ++rank;
@@ -515,7 +515,7 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
       co_await sim::Delay(simulator_, config_.nic_post_ns);
       co_return VerbOutcome{.target_dead = true};
     }
-    single.target = RemotePtr::Make((home + rank) % servers, 0);
+    ops[0].target = RemotePtr::Make((home + rank) % servers, 0);
   }
   doorbells_.Inc();
   signaled_verbs_.Inc();  // the tail carries the post's only completion
@@ -704,7 +704,7 @@ sim::Task<EpochReadResult> Fabric::ReadClientEpoch(uint32_t reader,
   probe.kind = ChainOp::Kind::kEpoch;
   probe.len = kEpochBytes;
   probe.subject = target;
-  const VerbOutcome probed = co_await Post(reader, {}, probe, kEpochProfile);
+  const VerbOutcome probed = co_await Post(reader, {&probe, 1}, kEpochProfile);
   // A dead registry host must surface (waiters bound their probing); a
   // dead reader learns nothing and gets OK/true.
   if (probed.target_dead) {
@@ -717,38 +717,35 @@ sim::Task<EpochReadResult> Fabric::ReadClientEpoch(uint32_t reader,
 
 sim::Task<VerbCompletion> Fabric::Read(uint32_t client, RemotePtr src,
                                        void* dst, uint32_t len) {
-  co_return (co_await Post(client, {}, ChainOp::Read(src, dst, len),
-                           kSignaledProfile))
-      .completion;
+  ChainOp read = ChainOp::Read(src, dst, len);
+  co_return (co_await Post(client, {&read, 1}, kSignaledProfile)).completion;
 }
 
 sim::Task<VerbCompletion> Fabric::Write(uint32_t client, RemotePtr dst,
                                         const void* src, uint32_t len) {
-  co_return (co_await Post(client, {}, ChainOp::Write(dst, src, len),
-                           kSignaledProfile))
-      .completion;
+  ChainOp write = ChainOp::Write(dst, src, len);
+  co_return (co_await Post(client, {&write, 1}, kSignaledProfile)).completion;
 }
 
 sim::Task<AtomicResult> Fabric::CompareAndSwap(uint32_t client,
                                                RemotePtr target,
                                                uint64_t expected,
                                                uint64_t desired) {
-  const VerbOutcome cas = co_await Post(
-      client, {}, ChainOp::Cas(target, expected, desired), kSignaledProfile);
+  ChainOp op = ChainOp::Cas(target, expected, desired);
+  const VerbOutcome cas = co_await Post(client, {&op, 1}, kSignaledProfile);
   co_return AtomicResult{cas.value, cas.completion};
 }
 
 sim::Task<AtomicResult> Fabric::FetchAndAdd(uint32_t client, RemotePtr target,
                                             uint64_t add) {
-  const VerbOutcome faa =
-      co_await Post(client, {}, ChainOp::Faa(target, add), kSignaledProfile);
+  ChainOp op = ChainOp::Faa(target, add);
+  const VerbOutcome faa = co_await Post(client, {&op, 1}, kSignaledProfile);
   co_return AtomicResult{faa.value, faa.completion};
 }
 
 sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
                                             std::vector<ChainOp> ops) {
-  co_return (co_await Post(client, std::move(ops), ChainOp{}, kChainProfile))
-      .completion;
+  co_return (co_await Post(client, ops, kChainProfile)).completion;
 }
 
 sim::Task<VerbCompletion> Fabric::ReadBatch(uint32_t client,
@@ -758,7 +755,7 @@ sim::Task<VerbCompletion> Fabric::ReadBatch(uint32_t client,
   for (const ReadRequest& r : requests) {
     ops.push_back(ChainOp::Read(r.src, r.dst, r.len));
   }
-  co_return co_await PostChain(client, std::move(ops));
+  co_return (co_await Post(client, ops, kChainProfile)).completion;
 }
 
 sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,
@@ -790,8 +787,10 @@ sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,
     pending->data.resize(len);
   }
   inflight_reads_[client].push_back({src.raw(), len, pending});
+  ChainOp read =
+      ChainOp::Read(src, pending ? pending->data.data() : dst, len);
   const VerbCompletion completion =
-      co_await Read(client, src, pending ? pending->data.data() : dst, len);
+      (co_await Post(client, {&read, 1}, kSignaledProfile)).completion;
   std::vector<InflightRead>& now = inflight_reads_[client];
   *std::find_if(now.begin(), now.end(), [&](const InflightRead& r) {
     return same_target(r) && r.pending == pending;
@@ -985,14 +984,8 @@ void Fabric::Respond(uint32_t server_id, const IncomingRpc& incoming,
   }
   // The reply SEND always pays its costs — the responding NIC cannot know
   // the caller abandoned the call.
-  const uint32_t wire_bytes = response.WireBytes();
-  const SimTime done =
-      IsLocal(incoming.client_id, server_id)
-          ? LocalBus(config_.MemoryServerMachine(server_id))
-                .ReserveTransfer(simulator_.now() + config_.local_latency_ns,
-                                 wire_bytes)
-          : ReserveResponse(incoming.client_id, server_id, simulator_.now(),
-                            wire_bytes);
+  const SimTime done = ReserveResponse(incoming.client_id, server_id,
+                                       simulator_.now(), response.WireBytes());
 
   auto it = pending_calls_.find(incoming.call_id);
   if (it == pending_calls_.end()) {

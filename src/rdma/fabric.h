@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -610,11 +611,12 @@ class Fabric {
     bool target_dead = false;  ///< standalone: a dead target dropped it
   };
 
-  /// The one-sided verb pipeline behind every entry point: posts `chain`
-  /// (chained profiles) or `single` under `profile`, from the crash-point
+  /// The one-sided verb pipeline behind every entry point: posts `ops` (a
+  /// chain, or one standalone verb) under `profile`, from the crash-point
   /// tick through fault draws, route-and-reserve, effects and completion.
-  sim::Task<VerbOutcome> Post(uint32_t client, std::vector<ChainOp> chain,
-                              ChainOp single, VerbProfile profile);
+  /// The calling front owns `ops` and awaits the post at once.
+  sim::Task<VerbOutcome> Post(uint32_t client, std::span<ChainOp> ops,
+                              VerbProfile profile);
   /// Standalone READ/WRITE/CAS/FAA, doorbell-chain members, and the
   /// liveness-registry probe.
   static const VerbProfile kSignaledProfile;
@@ -642,8 +644,9 @@ class Fabric {
   SimTime ReserveRequest(uint32_t client, uint32_t server,
                          const RequestLeg& leg);
 
-  /// A data response (READ payload, RPC reply) of `bytes` leaving remote
-  /// `server`'s tx port at `from` for `client`; returns its arrival.
+  /// A data response (READ payload, RPC reply) of `bytes` leaving
+  /// `server` at `from` for `client` — over its tx port and the wire, or
+  /// the memory bus when co-located; returns its arrival.
   SimTime ReserveResponse(uint32_t client, uint32_t server, SimTime from,
                           uint32_t bytes);
 

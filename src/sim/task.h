@@ -54,8 +54,10 @@ class FramePool {
   struct FreeLists {
     Node* head[kClasses] = {};
     ~FreeLists() {
-      for (Node* node : head) {
-        while (node != nullptr) ::operator delete(std::exchange(node, node->next));
+      for (Node*& list : head) {
+        while (list != nullptr) {
+          ::operator delete(std::exchange(list, list->next));
+        }
       }
     }
   };
