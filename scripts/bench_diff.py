@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Exactness gate for committed bench artifacts.
 
-Usage: scripts/bench_diff.py [--rename OLD=NEW ...] <committed.json> <fresh.json>
+Usage:
+  scripts/bench_diff.py [--rename OLD=NEW ...] <committed.json> <fresh.json>
 
 Flattens both JSON documents to dotted key paths and checks that every key
 of the committed file reappears in the fresh one with exactly the same
