@@ -2,8 +2,10 @@
 #define NAMTREE_RDMA_MEMORY_REGION_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <memory>
+#include <new>
 
 #include "common/status.h"
 #include "rdma/remote_ptr.h"
@@ -20,6 +22,12 @@ namespace namtree::rdma {
 ///                      Listing 4), plus catalog slots (root pointers) that
 ///                      clients read/CAS directly.
 ///   [kHeaderSize, ...) bump-allocated pages.
+///
+/// The backing store is lazily zeroed: `calloc` serves a region this large
+/// from fresh anonymous pages, so a page costs neither CPU nor resident
+/// memory until something first touches it. Contents still read as zero
+/// everywhere. (Small regions may come from reused heap memory that calloc
+/// clears eagerly; that is equally correct, just not lazy.)
 class MemoryRegion {
  public:
   static constexpr uint64_t kAllocCursorOffset = 0;
@@ -28,7 +36,10 @@ class MemoryRegion {
   static constexpr uint64_t kHeaderSize = 8 + 8 * kCatalogSlots;  // 256
 
   explicit MemoryRegion(uint32_t server_id, uint64_t capacity_bytes)
-      : server_id_(server_id), buffer_(capacity_bytes, 0) {
+      : server_id_(server_id),
+        buffer_(static_cast<uint8_t*>(std::calloc(capacity_bytes, 1))),
+        capacity_(capacity_bytes) {
+    if (buffer_ == nullptr) throw std::bad_alloc();
     WriteU64(kAllocCursorOffset, kHeaderSize);
   }
 
@@ -36,16 +47,16 @@ class MemoryRegion {
   MemoryRegion& operator=(const MemoryRegion&) = delete;
 
   uint32_t server_id() const { return server_id_; }
-  uint64_t capacity() const { return buffer_.size(); }
+  uint64_t capacity() const { return capacity_; }
 
   /// Bytes handed out so far (reads the allocation cursor).
   uint64_t allocated() const { return ReadU64(kAllocCursorOffset); }
 
-  uint8_t* at(uint64_t offset) { return buffer_.data() + offset; }
-  const uint8_t* at(uint64_t offset) const { return buffer_.data() + offset; }
+  uint8_t* at(uint64_t offset) { return buffer_.get() + offset; }
+  const uint8_t* at(uint64_t offset) const { return buffer_.get() + offset; }
 
   bool Contains(uint64_t offset, uint64_t len) const {
-    return offset + len <= buffer_.size() && offset + len >= offset;
+    return offset + len <= capacity_ && offset + len >= offset;
   }
 
   /// Upper bound for allocations (0 = full capacity). Under replication
@@ -53,7 +64,7 @@ class MemoryRegion {
   /// stripe so the backup stripes above it stay reserved for replicas.
   void set_alloc_limit(uint64_t limit) { alloc_limit_ = limit; }
   uint64_t alloc_limit() const {
-    return alloc_limit_ == 0 ? buffer_.size() : alloc_limit_;
+    return alloc_limit_ == 0 ? capacity_ : alloc_limit_;
   }
 
   /// Server-local (bootstrap/bulk-load time) allocation. Returns a null
@@ -68,12 +79,12 @@ class MemoryRegion {
 
   uint64_t ReadU64(uint64_t offset) const {
     uint64_t v;
-    std::memcpy(&v, buffer_.data() + offset, sizeof(v));
+    std::memcpy(&v, at(offset), sizeof(v));
     return v;
   }
 
   void WriteU64(uint64_t offset, uint64_t v) {
-    std::memcpy(buffer_.data() + offset, &v, sizeof(v));
+    std::memcpy(at(offset), &v, sizeof(v));
   }
 
   /// Offset of catalog slot `i` (root pointers and similar metadata).
@@ -82,8 +93,13 @@ class MemoryRegion {
   }
 
  private:
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+
   uint32_t server_id_;
-  std::vector<uint8_t> buffer_;
+  std::unique_ptr<uint8_t[], FreeDeleter> buffer_;
+  uint64_t capacity_;
   uint64_t alloc_limit_ = 0;  // 0 = capacity()
 };
 

@@ -75,7 +75,6 @@ bool Simulator::RunUntil(SimTime deadline) {
     events_processed_++;
     ev.handle.resume();
   }
-  now_ = std::max(now_, std::min(deadline, now_));
   if (queue_.empty()) return false;
   now_ = deadline;
   return true;

@@ -238,6 +238,36 @@ TEST(SimulatorTest, RunUntilExactBoundaryIncludesEvent) {
   EXPECT_EQ(s.pending_events(), 0u);
 }
 
+TEST(SimulatorTest, RunUntilPastDrainLeavesClockAtLastEvent) {
+  Simulator s;
+  std::vector<int> order;
+  Spawn(s, RecordAt(s, 100, 1, &order));
+  EXPECT_FALSE(s.RunUntil(500));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(s.now(), 100);  // min(deadline, drain time)
+}
+
+Task<> AwaitWithDeadline(DeadlineEvent& ev, SimTime deadline, bool* fired) {
+  *fired = co_await ev.AwaitUntil(deadline);
+}
+
+Task<> SetAt(Simulator& s, SimTime delay, DeadlineEvent& ev) {
+  co_await Delay(s, delay);
+  ev.Set();
+}
+
+TEST(SimulatorTest, RunUntilIgnoresCancelledFarFutureTimer) {
+  Simulator s;
+  DeadlineEvent ev(s);
+  bool fired = false;
+  Spawn(s, AwaitWithDeadline(ev, 1'000'000, &fired));
+  Spawn(s, SetAt(s, 100, ev));
+  // The disarmed timer at 1e6 is still queued but must not move the clock.
+  EXPECT_FALSE(s.RunUntil(2'000'000));
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(s.now(), 100);
+}
+
 Task<int> ChainedValue(Simulator& s, int depth) {
   if (depth == 0) co_return 1;
   co_await Delay(s, 1);
