@@ -2,16 +2,22 @@
 // point-query throughput and per-op round trips with the inner-node cache
 // disabled vs enabled at several TTLs, for read-only and insert-heavy
 // workloads (staleness never breaks correctness, it only costs extra hops).
+// `--json <path>` writes the machine-readable report CI reruns against the
+// committed BENCH_client_cache.json; EXPERIMENTS.md's A.4 table is
+// generated from that file.
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <string>
 
 #include "bench_common.h"
-#include <memory>
 
 #include "index/fine_grained.h"
 #include "nam/cluster.h"
 
 using namespace namtree;
+using namtree::bench::JsonReport;
 using namtree::bench::Num;
 using namtree::bench::PrintRow;
 
@@ -28,16 +34,22 @@ int main(int argc, char** argv) {
 
   struct Config {
     const char* label;
+    const char* json_key;  ///< dot-free: JsonReport nests on '.'
     uint32_t pages;
     SimTime ttl;
   };
   const Config configs[] = {
-      {"off", 0, 0},
-      {"ttl=0.5ms", 1 << 16, namtree::kMillisecond / 2},
-      {"ttl=2ms", 1 << 16, 2 * namtree::kMillisecond},
-      {"ttl=inf", 1 << 16, 0 /* NodeCache treats 0 as no expiry */},
+      {"off", "off", 0, 0},
+      {"ttl=0.5ms", "ttl_500us", 1 << 16, namtree::kMillisecond / 2},
+      {"ttl=2ms", "ttl_2ms", 1 << 16, 2 * namtree::kMillisecond},
+      {"ttl=inf", "ttl_inf", 1 << 16, 0 /* NodeCache treats 0 as no expiry */},
   };
 
+  JsonReport report;
+  report.Set("bench", std::string("ablate_client_cache"));
+  report.Set("config.keys", keys);
+  report.Set("config.clients", static_cast<uint64_t>(clients));
+  report.Set("config.cache_pages", static_cast<uint64_t>(1 << 16));
   for (const char* workload : {"A_point", "D_50pct_insert"}) {
     std::printf("\n# subplot: workload_%s\n", workload);
     PrintRow({"cache", "ops_per_s", "round_trips_per_op", "hit_rate"});
@@ -65,11 +77,26 @@ int main(int argc, char** argv) {
       const auto cache_stats = index->GetCacheStats();
       const double lookups = static_cast<double>(cache_stats.hits +
                                                  cache_stats.misses);
+      const double round_trips_per_op =
+          static_cast<double>(result.round_trips()) /
+          static_cast<double>(std::max<uint64_t>(1, result.ops()));
       PrintRow({cache_config.label, Num(result.ops_per_sec),
-                Num(static_cast<double>(result.round_trips()) /
-                    std::max<uint64_t>(1, result.ops())),
+                Num(round_trips_per_op),
                 lookups > 0 ? Num(cache_stats.hits / lookups) : "n/a"});
+
+      const std::string cell =
+          std::string(workload) + "." + cache_config.json_key + ".";
+      report.Set(cell + "ops_per_s", result.ops_per_sec);
+      report.Set(cell + "round_trips_per_op", round_trips_per_op);
+      report.Set(cell + "failed_ops", result.failed_ops());
+      report.Set(cell + "cache_hits", cache_stats.hits);
+      report.Set(cell + "cache_misses", cache_stats.misses);
+      report.Set(cell + "cache_expirations", cache_stats.expirations);
+      if (lookups > 0) {
+        report.Set(cell + "hit_rate", cache_stats.hits / lookups);
+      }
     }
   }
+  if (!namtree::bench::MaybeWriteJson(args, report)) return 1;
   return 0;
 }
