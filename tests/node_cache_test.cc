@@ -6,14 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <list>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
+#include "common/random.h"
 #include "index/coarse_one_sided.h"
 #include "index/fine_grained.h"
 #include "index/hybrid.h"
 #include "index/node_cache.h"
 #include "nam/cluster.h"
+#include "rdma/remote_ptr.h"
 
 namespace namtree::index {
 namespace {
@@ -125,6 +131,187 @@ TEST(NodeCacheTest, ZeroCapacityDisables) {
   std::vector<uint8_t> image(8, 1);
   cache.Put(1, image.data(), 0);
   EXPECT_EQ(cache.Get(1, 0), nullptr);
+}
+
+// ---- Differential test against a reference model ----------------------------
+
+/// The straightforward cache NodeCache must behave exactly like: a hash map
+/// of heap images plus a std::list LRU (most recent first). Same contract:
+/// TTL 0 never expires, Get erases an expired entry and counts it as a miss
+/// and an expiration, Peek touches nothing, Put refreshes the epoch.
+class ReferenceCache {
+ public:
+  ReferenceCache(uint32_t page_size, size_t capacity, SimTime ttl)
+      : page_size_(page_size), capacity_(capacity), ttl_(ttl) {}
+
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t expirations = 0;
+  size_t size() const { return entries_.size(); }
+  std::vector<uint64_t> LruKeys() const {
+    return std::vector<uint64_t>(lru_.begin(), lru_.end());
+  }
+
+  const uint8_t* Get(uint64_t key, SimTime now) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      misses++;
+      return nullptr;
+    }
+    if (Expired(it->second, now)) {
+      expirations++;
+      misses++;
+      lru_.erase(it->second.lru_pos);
+      entries_.erase(it);
+      return nullptr;
+    }
+    hits++;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    return it->second.image.data();
+  }
+
+  const uint8_t* Peek(uint64_t key, SimTime now, bool* expired) const {
+    auto it = entries_.find(key);
+    *expired = it != entries_.end() && Expired(it->second, now);
+    return it == entries_.end() ? nullptr : it->second.image.data();
+  }
+
+  void Put(uint64_t key, const uint8_t* image, SimTime now) {
+    if (capacity_ == 0) return;
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      if (entries_.size() >= capacity_) {
+        entries_.erase(lru_.back());
+        lru_.pop_back();
+      }
+      lru_.push_front(key);
+      it = entries_.emplace(key, Entry{{}, 0, lru_.begin()}).first;
+    } else {
+      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    }
+    it->second.image.assign(image, image + page_size_);
+    it->second.loaded_at = now;
+  }
+
+  void Invalidate(uint64_t key) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return;
+    lru_.erase(it->second.lru_pos);
+    entries_.erase(it);
+  }
+
+ private:
+  struct Entry {
+    std::vector<uint8_t> image;
+    SimTime loaded_at = 0;
+    std::list<uint64_t>::iterator lru_pos;
+  };
+
+  bool Expired(const Entry& e, SimTime now) const {
+    return ttl_ > 0 && now - e.loaded_at > ttl_;
+  }
+
+  uint32_t page_size_;
+  size_t capacity_;
+  SimTime ttl_;
+  std::unordered_map<uint64_t, Entry> entries_;
+  std::list<uint64_t> lru_;
+};
+
+enum class KeyShape {
+  kRemotePtr,  ///< inner-image keys: server id high, page-aligned offsets
+  kRoute,      ///< leaf-route keys: i * 8
+};
+
+/// Runs `steps` seeded random Put/Get/Peek/Invalidate operations against
+/// NodeCache and the reference model side by side, comparing returned
+/// bytes, counters, size and LRU order after every step.
+void RunDifferential(KeyShape shape, size_t capacity, SimTime ttl,
+                     uint64_t seed, size_t steps) {
+  SCOPED_TRACE(testing::Message()
+               << "shape=" << (shape == KeyShape::kRoute ? "route" : "ptr")
+               << " capacity=" << capacity << " ttl=" << ttl
+               << " seed=" << seed);
+  const uint32_t page_size = shape == KeyShape::kRoute ? 8 : 64;
+  NodeCache cache(page_size, capacity, ttl);
+  ReferenceCache model(page_size, capacity, ttl);
+  Rng rng(seed);
+  // A key universe twice the capacity (at least 8 keys), so hits, misses
+  // and evictions all stay frequent.
+  const uint64_t universe = std::max<uint64_t>(8, 2 * capacity);
+  auto key_at = [&](uint64_t i) {
+    if (shape == KeyShape::kRoute) return i * 8;
+    return rdma::RemotePtr::Make(static_cast<uint32_t>(i % 4),
+                                 (i / 4) * 1024 + 4096)
+        .raw();
+  };
+  std::vector<uint8_t> image(page_size);
+  SimTime now = 0;
+  size_t peak_size = 0;
+  for (size_t step = 0; step < steps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    now += rng.NextBelow(ttl > 0 ? ttl / 4 : 100);
+    const uint64_t key = key_at(rng.NextBelow(universe));
+    const uint64_t op = rng.NextBelow(16);
+    if (op < 7) {
+      for (uint32_t b = 0; b < page_size; ++b) {
+        image[b] = static_cast<uint8_t>(step * 31 + b);
+      }
+      cache.Put(key, image.data(), now);
+      model.Put(key, image.data(), now);
+    } else if (op < 12) {
+      const uint8_t* got = cache.Get(key, now);
+      const uint8_t* want = model.Get(key, now);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "Get(" << key << ")";
+      if (got != nullptr) {
+        ASSERT_EQ(std::memcmp(got, want, page_size), 0);
+      }
+    } else if (op < 15) {
+      bool got_expired = false;
+      bool want_expired = false;
+      const uint8_t* got = cache.Peek(key, now, &got_expired);
+      const uint8_t* want = model.Peek(key, now, &want_expired);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "Peek(" << key << ")";
+      ASSERT_EQ(got_expired, want_expired);
+      if (got != nullptr) {
+        ASSERT_EQ(std::memcmp(got, want, page_size), 0);
+      }
+    } else {
+      cache.Invalidate(key);
+      model.Invalidate(key);
+    }
+    ASSERT_EQ(cache.hits(), model.hits);
+    ASSERT_EQ(cache.misses(), model.misses);
+    ASSERT_EQ(cache.expirations(), model.expirations);
+    ASSERT_EQ(cache.size(), model.size());
+    ASSERT_EQ(cache.LruKeys(), model.LruKeys());
+    peak_size = std::max(peak_size, model.size());
+  }
+  // Without expiry the cache must have filled up, so LRU eviction ran.
+  if (ttl == 0) {
+    EXPECT_EQ(peak_size, capacity);
+  }
+}
+
+TEST(NodeCacheTest, MatchesReferenceModelOnRemotePtrKeys) {
+  for (const size_t capacity : {1, 2, 7, 4096}) {
+    for (const SimTime ttl : {SimTime{0}, SimTime{1000}}) {
+      const size_t steps = capacity > 64 ? 4 * capacity : 4000;
+      RunDifferential(KeyShape::kRemotePtr, capacity, ttl, 11 + capacity,
+                      steps);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(NodeCacheTest, MatchesReferenceModelOnRouteKeys) {
+  for (const size_t capacity : {1, 2, 7, 4096}) {
+    for (const SimTime ttl : {SimTime{0}, SimTime{1000}}) {
+      const size_t steps = capacity > 64 ? 4 * capacity : 4000;
+      RunDifferential(KeyShape::kRoute, capacity, ttl, 23 + capacity, steps);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 // ---- Cached fine-grained index ----------------------------------------------
