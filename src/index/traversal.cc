@@ -28,24 +28,22 @@ NodeCache* TraversalEngine::CacheFor(uint32_t client_id) {
   if (opts_.cache_mode == CacheMode::kNone || opts_.cache_pages == 0) {
     return nullptr;
   }
-  auto it = caches_.find(client_id);
-  if (it == caches_.end()) {
+  if (client_id >= caches_.size()) caches_.resize(client_id + 1);
+  std::unique_ptr<NodeCache>& cache = caches_[client_id];
+  if (cache == nullptr) {
     // Route entries are one 8-byte leaf pointer, not a page image.
     const uint32_t entry_size =
         opts_.cache_mode == CacheMode::kLeafRoutes ? 8 : opts_.page_size;
-    it = caches_
-             .emplace(client_id,
-                      std::make_unique<NodeCache>(entry_size,
-                                                  opts_.cache_pages,
-                                                  opts_.cache_ttl))
-             .first;
+    cache = std::make_unique<NodeCache>(entry_size, opts_.cache_pages,
+                                        opts_.cache_ttl);
   }
-  return it->second.get();
+  return cache.get();
 }
 
 TraversalEngine::CacheStats TraversalEngine::GetCacheStats() const {
   CacheStats stats;
-  for (const auto& [id, cache] : caches_) {
+  for (const auto& cache : caches_) {
+    if (cache == nullptr) continue;
     stats.hits += cache->hits();
     stats.misses += cache->misses();
     stats.expirations += cache->expirations();
@@ -87,33 +85,30 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
   // speculation entirely (the plain loop then runs untouched).
   const size_t max_hops =
       static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
-  struct Hop {
-    uint64_t raw = 0;
-    bool fresh = false;  ///< missing or TTL-expired: ride the batch
-  };
-  std::vector<Hop> path;
+  // The walk records its hops straight into `spec`; they only count once
+  // `attempted` is set below, so an abandoned walk leaves no prediction.
   // Local prediction: no awaits, so Peek pointers stay valid throughout.
   // A TTL-expired image still routes the prediction (stale = too far
   // left, recoverable) while scheduling its refresh in the batch.
   // namtree-lint: bounded-loop(speculative prediction: hop budget max_hops)
-  while (path.size() < max_hops) {
+  while (spec->num_hops < max_hops) {
     if (ptr.is_null()) co_return;  // garbage route: abandon speculation
     bool expired = false;
     const uint8_t* img = cache->Peek(ptr.raw(), now, &expired);
     if (img == nullptr) {
       // Frontier: the pointer is known but its image is not. Batch the
       // page itself; prediction cannot see below it.
-      path.push_back({ptr.raw(), true});
+      spec->AddHop(ptr.raw(), true);
       break;
     }
     PageView v(const_cast<uint8_t*>(img), page);
     if (v.level() == 0) {
       // A leaf image under an inner-path pointer (stale root metadata):
       // treat as frontier and let validation sort it out.
-      path.push_back({ptr.raw(), true});
+      spec->AddHop(ptr.raw(), true);
       break;
     }
-    path.push_back({ptr.raw(), expired});
+    spec->AddHop(ptr.raw(), expired);
     if (v.NeedsChase(key)) {
       ptr = rdma::RemotePtr(v.right_sibling());
       continue;
@@ -127,19 +122,15 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
     }
     ptr = child;
   }
-  if (!spec->complete && path.size() >= max_hops) co_return;  // cycle trip
+  if (!spec->complete && spec->num_hops >= max_hops) co_return;  // cycle
 
   size_t fresh_count = 0;
-  for (const Hop& h : path) {
-    if (h.fresh) fresh_count++;
+  for (size_t i = 0; i < spec->num_hops; ++i) {
+    if (spec->hop(i).fresh) fresh_count++;
   }
   const bool want_leaf =
       spec->complete && prefetch != nullptr && prefetch->leaf_buf != nullptr;
   spec->attempted = spec->complete || fresh_count > 0;
-  for (const Hop& h : path) spec->predicted.emplace(h.raw, true);
-  if (spec->complete) {
-    spec->predicted.emplace(spec->predicted_leaf.raw(), true);
-  }
   if (fresh_count == 0 && !want_leaf) co_return;  // pure warm-cache path
 
   // One doorbell: every missing/expired predicted page plus the leaf.
@@ -147,10 +138,10 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
   std::vector<rdma::Fabric::ReadRequest> reqs;
   reqs.reserve(fresh_count + 1);
   size_t slot = 0;
-  for (const Hop& h : path) {
-    if (!h.fresh) continue;
-    reqs.push_back(
-        {rdma::RemotePtr(h.raw), spec->arena.data() + slot * page, page});
+  for (size_t i = 0; i < spec->num_hops; ++i) {
+    if (!spec->hop(i).fresh) continue;
+    reqs.push_back({rdma::RemotePtr(spec->hop(i).raw),
+                    spec->arena.data() + slot * page, page});
     slot++;
   }
   if (want_leaf) {
@@ -160,10 +151,11 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
   if (!(co_await ops.ReadPagesBatch(std::move(reqs))).ok()) co_return;
 
   // Accept only usable slots: live target server, unlocked image. A
-  // locked or dropped slot simply never enters `fresh` — validation falls
-  // back to a real read there, which fails over under replication.
+  // locked or dropped slot simply keeps no image — validation falls back
+  // to a real read there, which fails over under replication.
   slot = 0;
-  for (const Hop& h : path) {
+  for (size_t i = 0; i < spec->num_hops; ++i) {
+    SpecHop& h = spec->hop(i);
     if (!h.fresh) continue;
     uint8_t* img = spec->arena.data() + slot * page;
     slot++;
@@ -173,7 +165,7 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
     uint64_t word;
     std::memcpy(&word, img + btree::kVersionOffset, 8);
     if (btree::IsLocked(word)) continue;
-    spec->fresh.emplace(h.raw, img);
+    h.image = img;
   }
 }
 
@@ -184,9 +176,10 @@ rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
     return rdma::RemotePtr::Null();
   }
   if (trees_[tree].root_level == 0) return trees_[tree].root;
-  auto it = caches_.find(client_id);
-  if (it == caches_.end()) return rdma::RemotePtr::Null();
-  const NodeCache& cache = *it->second;
+  if (client_id >= caches_.size() || caches_[client_id] == nullptr) {
+    return rdma::RemotePtr::Null();
+  }
+  const NodeCache& cache = *caches_[client_id];
   rdma::RemotePtr ptr = trees_[tree].root;
   const size_t max_hops =
       static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
@@ -245,18 +238,15 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
       image = cache->Get(ptr.raw(), ops.fabric().simulator().now());
     }
     if (image == nullptr && spec.attempted) {
-      auto it = spec.fresh.find(ptr.raw());
-      if (it != spec.fresh.end()) {
-        image = it->second;
-        fresh_from_batch = true;
-      }
+      image = spec.FreshImage(ptr.raw());
+      fresh_from_batch = image != nullptr;
     }
     if (image == nullptr) {
       const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
       if (!read.ok()) co_return rdma::RemotePtr::Null();
       image = buf;
       if (spec.attempted &&
-          (spec.complete || spec.predicted.count(ptr.raw()) > 0)) {
+          (spec.complete || spec.Predicted(ptr.raw()))) {
         // Below an incomplete prediction's frontier real reads are the
         // plan, not a mispredict; on a predicted hop (or anywhere under a
         // complete prediction) they mean speculation failed here.

@@ -1,8 +1,8 @@
 #ifndef NAMTREE_INDEX_TRAVERSAL_H_
 #define NAMTREE_INDEX_TRAVERSAL_H_
 
+#include <array>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "btree/page.h"
@@ -219,19 +219,57 @@ class TraversalEngine {
   void SeedPublishedImage(NodeCache* cache, rdma::RemotePtr ptr,
                           uint8_t* buf, SimTime now);
 
-  /// Images fetched by one speculative batch, plus what was predicted.
+  /// One page the local prediction walked through.
+  struct SpecHop {
+    uint64_t raw = 0;
+    bool fresh = false;  ///< missing or TTL-expired: rides the batch
+    /// The batch image (a page-granular slot of SpecState::arena) once
+    /// accepted: its target was alive and the image arrived unlocked.
+    uint8_t* image = nullptr;
+  };
+
+  /// The predicted path of one speculative descent and the images its
+  /// batch fetched. A path is at most 2 * root_level + 8 hops, so it is
+  /// searched linearly. A healthy path is root_level hops and stays
+  /// inline up to root_level 4; longer paths spill to the heap. (The
+  /// state lives in every descent's coroutine frame, speculative or not,
+  /// so the inline part is kept small.)
   struct SpecState {
-    /// Batch landing area (page-granular slots into `arena`), keyed by the
-    /// page's primary pointer. Slots whose target died mid-batch or whose
-    /// image arrived locked are dropped at validation time.
-    std::unordered_map<uint64_t, uint8_t*> fresh;
-    /// Every page pointer the local prediction walked through.
-    std::unordered_map<uint64_t, bool> predicted;
+    std::array<SpecHop, 4> inline_hops;
+    std::vector<SpecHop> spill_hops;
+    size_t num_hops = 0;
     std::vector<uint8_t> arena;
     bool attempted = false;       ///< a prediction (with or w/o batch) ran
     bool complete = false;        ///< prediction reached a leaf pointer
     bool leaf_in_batch = false;   ///< predicted leaf rode the batch
     rdma::RemotePtr predicted_leaf;
+
+    SpecHop& hop(size_t i) {
+      return i < inline_hops.size() ? inline_hops[i]
+                                    : spill_hops[i - inline_hops.size()];
+    }
+    void AddHop(uint64_t raw, bool fresh) {
+      if (num_hops < inline_hops.size()) {
+        inline_hops[num_hops] = {raw, fresh, nullptr};
+      } else {
+        spill_hops.push_back({raw, fresh, nullptr});
+      }
+      num_hops++;
+    }
+    /// The first accepted batch image of `raw`, or nullptr.
+    uint8_t* FreshImage(uint64_t raw) {
+      for (size_t i = 0; i < num_hops; ++i) {
+        if (hop(i).raw == raw && hop(i).image != nullptr) return hop(i).image;
+      }
+      return nullptr;
+    }
+    /// Whether the prediction walked through page `raw`.
+    bool Predicted(uint64_t raw) {
+      for (size_t i = 0; i < num_hops; ++i) {
+        if (hop(i).raw == raw) return true;
+      }
+      return false;
+    }
   };
 
   /// The predict→batch half of a speculative descent: walks cached images
@@ -243,7 +281,8 @@ class TraversalEngine {
 
   Options opts_;
   std::vector<Tree> trees_;
-  std::unordered_map<uint32_t, std::unique_ptr<NodeCache>> caches_;
+  /// Indexed by client id; null until the client first uses its cache.
+  std::vector<std::unique_ptr<NodeCache>> caches_;
 };
 
 }  // namespace namtree::index
