@@ -27,6 +27,26 @@ void BM_LeafLowerBound(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafLowerBound)->Arg(512)->Arg(1024)->Arg(4096);
 
+// Count-only collect over a random range of a full leaf (what a range scan
+// does per visited leaf). Arg 1 tombstones every 16th entry.
+void BM_LeafCollectLive(benchmark::State& state) {
+  std::vector<uint8_t> page(static_cast<size_t>(state.range(0)));
+  PageView leaf(page.data(), static_cast<uint32_t>(page.size()));
+  leaf.InitLeaf(kInfinityKey, 0);
+  const uint32_t cap = leaf.leaf_capacity();
+  for (uint32_t i = 0; i < cap; ++i) leaf.LeafInsert(i * 7, i);
+  if (state.range(1) != 0) {
+    for (uint32_t i = 0; i < cap; i += 16) leaf.LeafSetTombstone(i, true);
+  }
+  Rng rng(4);
+  for (auto _ : state) {
+    const Key lo = rng.NextBelow(cap * 7);
+    benchmark::DoNotOptimize(
+        leaf.LeafCollectLive(lo, lo + rng.NextBelow(cap * 7), nullptr));
+  }
+}
+BENCHMARK(BM_LeafCollectLive)->ArgsProduct({{512, 1024, 4096}, {0, 1}});
+
 void BM_LeafInsertAndCompact(benchmark::State& state) {
   std::vector<uint8_t> page(1024);
   PageView leaf(page.data(), 1024);

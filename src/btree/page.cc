@@ -1,9 +1,31 @@
 #include "btree/page.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace namtree::btree {
+
+namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "bit i of the tombstone bitmap is bit i % 64 of word i / 64");
+
+/// Number of set bits with index in [b, e) of the bitmap at `bits`.
+uint32_t CountSetBits(const uint8_t* bits, uint32_t b, uint32_t e) {
+  uint32_t total = 0;
+  for (uint32_t w = b / 64; w * 64 < e; ++w) {
+    const uint32_t first = w * 64;
+    uint64_t word = 0;
+    std::memcpy(&word, bits + w * 8, sizeof(word));
+    if (b > first) word &= ~0ull << (b - first);
+    if (e - first < 64) word &= (1ull << (e - first)) - 1;
+    total += static_cast<uint32_t>(std::popcount(word));
+  }
+  return total;
+}
+
+}  // namespace
 
 void PageView::InitLeaf(Key high_key, uint64_t right_sibling_raw) {
   std::memset(data_, 0, page_size_);
@@ -100,6 +122,29 @@ uint32_t PageView::LeafCollect(Key key, std::vector<Value>* out) const {
     found++;
   }
   return found;
+}
+
+uint32_t PageView::LeafCollectLive(Key lo, Key hi,
+                                   std::vector<KV>* out) const {
+  const uint32_t n = count();
+  if (n == 0 || lo >= hi) return 0;
+  const KV* entries = leaf_entries();
+  // A scan's interior leaves lie wholly inside [lo, hi): the first and last
+  // entries settle both bounds without a search.
+  const uint32_t b = entries[0].key >= lo ? 0 : LeafLowerBound(lo);
+  const uint32_t e = entries[n - 1].key < hi ? n : LeafLowerBound(hi);
+  if (b >= e) return 0;
+  const uint32_t dead = CountSetBits(data_ + kHeaderBytes, b, e);
+  if (out != nullptr) {
+    if (dead == 0) {
+      out->insert(out->end(), entries + b, entries + e);
+    } else {
+      for (uint32_t i = b; i < e; ++i) {
+        if (!LeafIsTombstoned(i)) out->push_back(entries[i]);
+      }
+    }
+  }
+  return e - b - dead;
 }
 
 uint32_t PageView::LeafCompact() const {

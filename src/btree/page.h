@@ -174,6 +174,13 @@ class PageView {
   /// the number appended. `out` may be null (count only).
   uint32_t LeafCollect(Key key, std::vector<Value>* out) const;
 
+  /// Counts the live entries with lo <= key < hi and, when `out` is
+  /// non-null, appends them to it in page order. Returns 0 when lo >= hi.
+  /// Range scans call this on every leaf they visit, so it binary-searches
+  /// only a bound that falls inside the page and counts tombstones a
+  /// bitmap word at a time.
+  uint32_t LeafCollectLive(Key lo, Key hi, std::vector<KV>* out) const;
+
   /// Physically removes tombstoned entries (epoch GC). Returns the number
   /// of entries reclaimed.
   uint32_t LeafCompact() const;

@@ -72,11 +72,15 @@ sim::Task<> CoarseGrainedIndex::Handle(nam::MemoryServer& server,
       break;
     }
     case kScan: {
+      // Count-only scans are charged for their rows on the wire, but the
+      // rows are never built.
+      const bool count_only = rpc.request.arg2 != 0;
       std::vector<KV> hits;
-      const uint64_t count =
-          co_await tree.Scan(rpc.request.arg0, rpc.request.arg1, &hits);
+      const uint64_t count = co_await tree.Scan(
+          rpc.request.arg0, rpc.request.arg1, count_only ? nullptr : &hits);
       resp.status = static_cast<uint16_t>(StatusCode::kOk);
       resp.arg0 = count;
+      if (count_only) resp.elided_words = static_cast<uint32_t>(2 * count);
       resp.payload.reserve(hits.size() * 2);
       for (const KV& kv : hits) {
         resp.payload.push_back(kv.key);
@@ -199,6 +203,7 @@ sim::Task<uint64_t> CoarseGrainedIndex::Scan(nam::ClientContext& ctx, Key lo,
     req.op = kScan;
     req.arg0 = lo;
     req.arg1 = hi;
+    req.arg2 = out == nullptr ? 1 : 0;  // count-only: reply without rows
     rdma::RpcResponse resp = co_await ctx.Call(server, std::move(req));
     if (resp.status != static_cast<uint16_t>(StatusCode::kOk)) {
       // Transport failure (kUnavailable = dead caller/server, kTimedOut =

@@ -23,6 +23,9 @@ class CoarseGrainedIndex : public DistributedIndex {
   /// RPC opcodes of the coarse-grained protocol.
   enum Op : uint16_t {
     kLookup = 1,
+    /// [arg0, arg1) range; the response carries the count in arg0 and the
+    /// rows as [key, value] pairs. arg2 = 1 asks for the count only: the
+    /// rows are left out of the reply but still charged as its payload.
     kScan = 2,
     kInsert = 3,
     kDelete = 4,

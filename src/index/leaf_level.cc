@@ -199,26 +199,6 @@ sim::Task<Status> LeafLevel::SearchChainMulti(RemoteOps ops,
   co_return Status::OK();
 }
 
-namespace {
-
-/// Collects live [lo, hi) entries from a consistent leaf image.
-uint64_t CollectFromImage(PageView view, Key lo, Key hi,
-                          std::vector<KV>* out) {
-  uint64_t found = 0;
-  const uint32_t n = view.count();
-  const KV* entries = view.leaf_entries();
-  for (uint32_t i = view.LeafLowerBound(lo); i < n; ++i) {
-    if (entries[i].key >= hi) break;
-    if (!view.LeafIsTombstoned(i)) {
-      if (out != nullptr) out->push_back(entries[i]);
-      found++;
-    }
-  }
-  return found;
-}
-
-}  // namespace
-
 sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
                                          Key lo, Key hi,
                                          std::vector<KV>* out, Status* status) {
@@ -251,7 +231,7 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
     PageView view(buf, page_size);
 
     if (!view.is_head()) {
-      found += CollectFromImage(view, cursor, hi, out);
+      found += view.LeafCollectLive(cursor, hi, out);
       if (!view.is_drained()) {
         cursor = std::max(cursor, std::min(view.high_key(), hi));
       }
@@ -307,7 +287,7 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
         resumed_chain = true;
         break;
       }
-      found += CollectFromImage(leaf, cursor, hi, out);
+      found += leaf.LeafCollectLive(cursor, hi, out);
       if (!leaf.is_drained()) {
         cursor = std::max(cursor, std::min(leaf.high_key(), hi));
       }
@@ -632,14 +612,10 @@ sim::Task<uint64_t> LeafLevel::RebalanceChain(RemoteOps ops,
       PageView peek(peek_buf.data(), page_size);
       if (peek.is_leaf() && !peek.is_drained() &&
           !btree::IsLocked(peek.version_word())) {
-        uint32_t left_live = 0;
-        for (uint32_t i = 0; i < page.count(); ++i) {
-          if (!page.LeafIsTombstoned(i)) left_live++;
-        }
-        uint32_t right_live = 0;
-        for (uint32_t i = 0; i < peek.count(); ++i) {
-          if (!peek.LeafIsTombstoned(i)) right_live++;
-        }
+        const uint32_t left_live =
+            page.LeafCollectLive(0, kInfinityKey, nullptr);
+        const uint32_t right_live =
+            peek.LeafCollectLive(0, kInfinityKey, nullptr);
         const uint32_t budget =
             PageView::LeafCapacity(page_size) * max_fill_percent / 100;
         if (left_live + right_live <= budget) {
@@ -859,13 +835,10 @@ sim::Task<uint64_t> LeafLevel::CountChain(RemoteOps ops,
     PageView view(buf, page_size);
     pages++;
     if (!view.is_head()) {
-      for (uint32_t i = 0; i < view.count(); ++i) {
-        if (view.LeafIsTombstoned(i)) {
-          dead++;
-        } else {
-          live++;
-        }
-      }
+      const uint32_t page_live =
+          view.LeafCollectLive(0, kInfinityKey, nullptr);
+      live += page_live;
+      dead += view.count() - page_live;
     }
     ptr = rdma::RemotePtr(view.right_sibling());
   }

@@ -140,15 +140,7 @@ sim::Task<uint64_t> ServerTree::Scan(Key lo, Key hi,
       v = co_await AwaitUnlocked(node);
       continue;  // re-scan this page
     }
-    const uint32_t n = view.count();
-    const KV* entries = view.leaf_entries();
-    for (uint32_t i = view.LeafLowerBound(lo); i < n; ++i) {
-      if (entries[i].key >= hi) break;
-      if (!view.LeafIsTombstoned(i)) {
-        if (out != nullptr) out->push_back(entries[i]);
-        found++;
-      }
-    }
+    found += view.LeafCollectLive(lo, hi, out);
     if (view.right_sibling() == 0) co_return found;
     if (view.high_key() >= hi) co_return found;
     node = view.right_sibling();
@@ -564,13 +556,9 @@ ServerTree::TreeStats ServerTree::GetStats() const {
       PageView cv = View(chain);
       stats.pages++;
       if (cv.is_leaf() && !remote_leaves_) {
-        for (uint32_t i = 0; i < cv.count(); ++i) {
-          if (cv.LeafIsTombstoned(i)) {
-            stats.tombstones++;
-          } else {
-            stats.live_entries++;
-          }
-        }
+        const uint32_t live = cv.LeafCollectLive(0, kInfinityKey, nullptr);
+        stats.live_entries += live;
+        stats.tombstones += cv.count() - live;
       }
       chain = cv.right_sibling();
     }

@@ -68,8 +68,9 @@ class ServerTree {
 
   sim::Task<LookupResult> Lookup(btree::Key key);
 
-  /// Collects live entries in [lo, hi) into `out` (CG mode only). `limit`
-  /// bounds the handler's work; kInfinity semantics when 0.
+  /// Counts the live entries in [lo, hi) and appends them to `out` (CG mode
+  /// only). A null `out` makes the scan count-only: it visits and charges
+  /// the same leaves but copies no rows.
   sim::Task<uint64_t> Scan(btree::Key lo, btree::Key hi,
                            std::vector<btree::KV>* out);
 

@@ -34,12 +34,17 @@ struct RpcRequest {
 /// RPC response carried by the reply SEND.
 struct RpcResponse {
   uint16_t status = 0;  ///< StatusCode cast to int by convention.
+  /// Payload words the reply is charged for but does not carry. A handler
+  /// whose caller discards the rows (a count-only scan) elides them here,
+  /// so the modeled reply keeps its size without building the payload.
+  uint32_t elided_words = 0;
   uint64_t arg0 = 0;
   uint64_t arg1 = 0;
   std::vector<uint64_t> payload;
 
+  /// Modeled wire size: header + scalar results + payload, carried or elided.
   uint32_t WireBytes() const {
-    return 24 + static_cast<uint32_t>(payload.size()) * 8;
+    return 24 + static_cast<uint32_t>(payload.size() + elided_words) * 8;
   }
 };
 

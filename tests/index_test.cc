@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/coarse_grained.h"
@@ -512,6 +513,73 @@ TEST(SkewPlacementTest, CoarseRangeWeightsShiftDataToServerZero) {
     if (cg->partitioner().ServerFor(i * 2) == 0) to_zero++;
   }
   EXPECT_NEAR(to_zero, 800, 30);
+}
+
+// Scans `ranges` one after another, recording each count and the virtual
+// time it completed at; `collect` picks a row vector or count-only.
+Task<> ScanRanges(DistributedIndex& index, ClientContext& ctx,
+                  std::vector<std::pair<Key, Key>> ranges, bool collect,
+                  std::vector<uint64_t>* counts,
+                  std::vector<SimTime>* done_at) {
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<KV> rows;
+    const uint64_t count =
+        co_await index.Scan(ctx, lo, hi, collect ? &rows : nullptr);
+    if (collect) {
+      EXPECT_EQ(rows.size(), count);
+    }
+    counts->push_back(count);
+    done_at->push_back(ctx.fabric().simulator().now());
+  }
+}
+
+// A count-only CG scan (out == nullptr) leaves the rows out of the reply
+// but is charged for them: counts, completion times and the bytes every
+// server sends and receives match a scan that collects the rows.
+TEST(CoarseGrainedScanTest, CountOnlyRepliesChargeTheElidedRows) {
+  const std::vector<std::pair<Key, Key>> ranges = {
+      {0, 100}, {2999, 9000}, {11000, 30000}, {0, 40000}, {20000, 20001}};
+  for (Design design : {Design::kCoarseRange, Design::kCoarseHash}) {
+    struct Outcome {
+      std::vector<uint64_t> counts;
+      std::vector<SimTime> done_at;
+      std::vector<uint64_t> tx_bytes;
+      std::vector<uint64_t> rx_bytes;
+    };
+    auto run = [&](bool collect) {
+      TestRig setup(design);
+      Outcome outcome;
+      EXPECT_TRUE(setup.index->BulkLoad(MakeData(20000)).ok());
+      auto ctx = setup.MakeClient(0);
+      std::vector<Key> doomed;  // tombstones inside the scanned leaves
+      for (Key k = 0; k < 40000; k += 14) doomed.push_back(k);
+      std::vector<bool> deleted;
+      Spawn(setup.cluster.simulator(),
+            DeleteMany(*setup.index, ctx, doomed, &deleted));
+      setup.cluster.simulator().Run();
+      EXPECT_EQ(std::count(deleted.begin(), deleted.end(), true),
+                static_cast<std::ptrdiff_t>(doomed.size()));
+      Spawn(setup.cluster.simulator(),
+            ScanRanges(*setup.index, ctx, ranges, collect, &outcome.counts,
+                       &outcome.done_at));
+      setup.cluster.simulator().Run();
+      for (uint32_t s = 0; s < 4; ++s) {
+        const auto stats = setup.cluster.fabric().server_stats(s);
+        outcome.tx_bytes.push_back(stats.tx_bytes);
+        outcome.rx_bytes.push_back(stats.rx_bytes);
+      }
+      return outcome;
+    };
+    SCOPED_TRACE(DesignName(design));
+    const Outcome rows = run(true);
+    const Outcome count_only = run(false);
+    ASSERT_EQ(rows.counts.size(), ranges.size());
+    EXPECT_EQ(rows.counts[3], 20000u - 40000u / 14 - 1);
+    EXPECT_EQ(count_only.counts, rows.counts);
+    EXPECT_EQ(count_only.done_at, rows.done_at);
+    EXPECT_EQ(count_only.tx_bytes, rows.tx_bytes);
+    EXPECT_EQ(count_only.rx_bytes, rows.rx_bytes);
+  }
 }
 
 TEST(SkewPlacementTest, FineGrainedSpreadsPagesEvenly) {

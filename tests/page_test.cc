@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "btree/page.h"
@@ -414,6 +416,143 @@ TEST_P(LeafPropertyTest, MatchesReferenceModel) {
     } else {
       const bool found = leaf.LeafFindLive(k) >= 0;
       EXPECT_EQ(found, reference.count(k) > 0) << "key " << k;
+    }
+  }
+}
+
+// ---- LeafCollectLive against the per-entry scan loop ------------------------
+
+// Reference: the loop range scans ran before LeafCollectLive, one lower
+// bound and one tombstone probe per entry.
+uint32_t CollectLiveByEntry(PageView leaf, Key lo, Key hi,
+                            std::vector<KV>* out) {
+  const KV* entries = leaf.leaf_entries();
+  uint32_t found = 0;
+  for (uint32_t i = leaf.LeafLowerBound(lo); i < leaf.count(); ++i) {
+    if (entries[i].key >= hi) break;
+    if (leaf.LeafIsTombstoned(i)) continue;
+    if (out != nullptr) out->push_back(entries[i]);
+    found++;
+  }
+  return found;
+}
+
+// Counts and appended rows (after a sentinel already in the vector) must
+// match the reference, and the count-only call must return the same count.
+void ExpectCollectMatches(PageView leaf, Key lo, Key hi) {
+  SCOPED_TRACE(::testing::Message() << "range [" << lo << ", " << hi
+                                    << ") over " << leaf.count()
+                                    << " entries");
+  const KV sentinel{kInfinityKey - 1, 7};
+  std::vector<KV> want{sentinel};
+  std::vector<KV> got{sentinel};
+  const uint32_t count = CollectLiveByEntry(leaf, lo, hi, &want);
+  EXPECT_EQ(leaf.LeafCollectLive(lo, hi, &got), count);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(leaf.LeafCollectLive(lo, hi, nullptr), count);
+}
+
+// Writes `keys` (sorted here) as the leaf's entries and tombstones each
+// with probability `dead`.
+void FillLeaf(PageView leaf, std::vector<Key> keys, double dead, Rng& rng) {
+  std::sort(keys.begin(), keys.end());
+  leaf.InitLeaf(kInfinityKey, 0);
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    leaf.leaf_entries()[i] = KV{keys[i], rng.Next()};
+    leaf.LeafSetTombstone(i, rng.NextBool(dead));
+  }
+  leaf.header().count = static_cast<uint16_t>(keys.size());
+}
+
+class LeafCollectLiveSizeTest : public ::testing::TestWithParam<uint32_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Sizes, LeafCollectLiveSizeTest,
+                         ::testing::Values(512u, 1024u, 4096u, 8192u));
+
+TEST_P(LeafCollectLiveSizeTest, MatchesPerEntryLoopOnRandomLeaves) {
+  PageBuffer buf(GetParam());
+  PageView leaf = buf.view();
+  const uint32_t cap = leaf.leaf_capacity();
+  Rng rng(GetParam());
+  for (int round = 0; round < 200; ++round) {
+    const uint32_t n = static_cast<uint32_t>(rng.NextBelow(cap + 1));
+    // Narrow key domains give long duplicate runs, wide ones distinct keys.
+    const Key domain = rng.NextBool(0.5) ? n / 4 + 1 : 4ull * n + 1;
+    constexpr double kDeadShares[] = {0.0, 0.02, 0.5, 1.0};
+    const double dead = kDeadShares[round % 4];
+    std::vector<Key> keys;
+    for (uint32_t i = 0; i < n; ++i) keys.push_back(rng.NextBelow(domain));
+    FillLeaf(leaf, keys, dead, rng);
+    for (int q = 0; q < 40; ++q) {
+      const Key lo = rng.NextBelow(domain + 2);
+      const Key hi = rng.NextBelow(domain + 2);
+      ExpectCollectMatches(leaf, lo, hi);
+      // Bounds on existing keys: both ends sit on duplicate runs.
+      if (n > 0) {
+        ExpectCollectMatches(leaf, keys[rng.NextBelow(n)],
+                             keys[rng.NextBelow(n)]);
+      }
+    }
+    ExpectCollectMatches(leaf, 0, kInfinityKey);
+  }
+}
+
+TEST_P(LeafCollectLiveSizeTest, EmptyPageAndEmptyRangesCollectNothing) {
+  PageBuffer buf(GetParam());
+  PageView leaf = buf.view();
+  leaf.InitLeaf(kInfinityKey, 0);
+  std::vector<KV> out;
+  EXPECT_EQ(leaf.LeafCollectLive(0, kInfinityKey, &out), 0u);
+  EXPECT_TRUE(out.empty());
+
+  Rng rng(1);
+  std::vector<Key> keys;
+  for (Key k = 0; k < leaf.leaf_capacity(); ++k) keys.push_back(k * 2);
+  FillLeaf(leaf, keys, 0.0, rng);
+  for (const auto& [lo, hi] : std::vector<std::pair<Key, Key>>{
+           {10, 10}, {11, 10}, {kInfinityKey, 0}, {0, 0}}) {
+    EXPECT_EQ(leaf.LeafCollectLive(lo, hi, &out), 0u);
+    ExpectCollectMatches(leaf, lo, hi);
+  }
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(LeafCollectLiveTest, TombstonesOnBitmapWordBoundaries) {
+  PageBuffer buf(4096);
+  PageView leaf = buf.view();
+  const uint32_t cap = leaf.leaf_capacity();
+  ASSERT_GT(cap, 192u) << "the bitmap must span several 64-bit words";
+  Rng rng(2);
+  std::vector<Key> keys;
+  for (Key k = 0; k < cap; ++k) keys.push_back(k * 2);
+  FillLeaf(leaf, keys, 0.0, rng);
+  for (uint32_t bit : {0u, 63u, 64u, 127u, 128u, cap - 1}) {
+    leaf.LeafSetTombstone(bit, true);
+  }
+  // Every range whose ends fall near a word boundary, by entry index: key
+  // 2i is entry i, and odd keys fall between entries.
+  for (uint32_t boundary : {0u, 64u, 128u, cap}) {
+    const uint32_t first = boundary < 4 ? 0 : boundary - 4;
+    for (Key lo = 2 * first; lo <= 2 * (boundary + 4); ++lo) {
+      for (Key hi = lo; hi <= 2 * (boundary + 70); ++hi) {
+        ExpectCollectMatches(leaf, lo, hi);
+      }
+    }
+  }
+}
+
+TEST(LeafCollectLiveTest, DuplicateRunsOnBothBounds) {
+  PageBuffer buf(1024);
+  PageView leaf = buf.view();
+  Rng rng(3);
+  FillLeaf(leaf, {10, 20, 20, 20, 30, 30, 30, 40}, 0.0, rng);
+  leaf.LeafSetTombstone(2, true);  // a dead 20 inside the lower run
+  leaf.LeafSetTombstone(5, true);  // a dead 30 inside the upper run
+  EXPECT_EQ(leaf.LeafCollectLive(20, 30, nullptr), 2u);
+  EXPECT_EQ(leaf.LeafCollectLive(20, 31, nullptr), 4u);
+  for (Key lo : {19u, 20u, 21u, 29u, 30u}) {
+    for (Key hi : {20u, 21u, 30u, 31u, 40u, 41u}) {
+      ExpectCollectMatches(leaf, lo, hi);
     }
   }
 }
