@@ -1,7 +1,8 @@
 // Ablation for the Appendix A.4 client-side caching extension: fine-grained
 // point-query throughput and per-op round trips with the inner-node cache
-// disabled vs enabled at several TTLs, for read-only and insert-heavy
-// workloads (staleness never breaks correctness, it only costs extra hops).
+// disabled vs enabled at several TTLs (ttl=inf: entries live until fence
+// validation drops them), for read-only and insert-heavy workloads
+// (staleness never breaks correctness, it only costs extra hops).
 // `--json <path>` writes the machine-readable report CI reruns against the
 // committed BENCH_client_cache.json; EXPERIMENTS.md's A.4 table is
 // generated from that file.
@@ -92,6 +93,8 @@ int main(int argc, char** argv) {
       report.Set(cell + "cache_hits", cache_stats.hits);
       report.Set(cell + "cache_misses", cache_stats.misses);
       report.Set(cell + "cache_expirations", cache_stats.expirations);
+      report.Set(cell + "cache_fence_invalidations",
+                 cache_stats.fence_invalidations);
       if (lookups > 0) {
         report.Set(cell + "hit_rate", cache_stats.hits / lookups);
       }

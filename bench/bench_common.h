@@ -59,7 +59,7 @@ struct ExperimentConfig {
   bool verb_chaining = true;
   /// Per-client inner-node cache (IndexConfig::client_cache_pages / _ttl).
   uint32_t client_cache_pages = 0;
-  SimTime client_cache_ttl = 2 * kMillisecond;
+  SimTime client_cache_ttl = 0;
   /// One-RTT speculative descent (IndexConfig::speculative_descent;
   /// one-sided designs, needs client_cache_pages > 0).
   bool speculative_descent = false;

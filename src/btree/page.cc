@@ -188,7 +188,7 @@ Key PageView::SplitLeafInto(PageView right, uint64_t right_raw) const {
   return separator;
 }
 
-uint64_t PageView::InnerChildFor(Key key) const {
+uint32_t PageView::InnerChildIndex(Key key) const {
   const Key* keys = inner_keys();
   const uint32_t n = count();
   // Lower-bound descent: the first separator >= key routes left of itself,
@@ -205,7 +205,7 @@ uint64_t PageView::InnerChildFor(Key key) const {
       hi = mid;
     }
   }
-  return inner_children()[lo];
+  return lo;
 }
 
 bool PageView::InnerInsert(Key sep, uint64_t child_raw) const {

@@ -203,7 +203,19 @@ class PageView {
 
   /// Child raw pointer to descend for `key`. Precondition: key < high_key
   /// (otherwise callers must chase the right sibling first, B-link rule).
-  uint64_t InnerChildFor(Key key) const;
+  uint64_t InnerChildFor(Key key) const {
+    return inner_children()[InnerChildIndex(key)];
+  }
+
+  /// Index of the child InnerChildFor(key) descends into.
+  uint32_t InnerChildIndex(Key key) const;
+
+  /// The upper fence this node promises for child `i`: keys[i], or this
+  /// node's own high key for its last child. The child's high_key equals
+  /// it unless one of the two pages changed since the other was read.
+  Key InnerChildFence(uint32_t i) const {
+    return i < count() ? inner_keys()[i] : high_key();
+  }
 
   /// Inserts separator `sep` with right child `child_raw` (the new page
   /// produced by a split of the child left of `sep`). Returns false when

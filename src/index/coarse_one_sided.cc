@@ -91,13 +91,12 @@ sim::Task<LookupResult> CoarseOneSidedIndex::Lookup(nam::ClientContext& ctx,
   // page_b and feeds SearchChain's first iteration when confirmed.
   TraversalEngine::DescentPrefetch prefetch;
   prefetch.leaf_buf = ctx.page_b();
-  const rdma::RemotePtr leaf =
+  const DescentResult d =
       co_await engine_.DescendToLeaf(ops, server, key, &prefetch);
-  if (leaf.is_null()) {
-    co_return LookupResult{false, 0, Status::Unavailable("client crashed")};
-  }
+  if (!d.ok()) co_return LookupResult{false, 0, d.status};
   co_return co_await LeafLevel::SearchChain(
-      ops, leaf, key, prefetch.leaf_image_valid ? ctx.page_b() : nullptr);
+      ops, d.leaf, key, prefetch.leaf_image_valid ? ctx.page_b() : nullptr,
+      d.fence);
 }
 
 sim::Task<void> CoarseOneSidedIndex::MultiGet(nam::ClientContext& ctx,
@@ -160,18 +159,17 @@ sim::Task<uint64_t> CoarseOneSidedIndex::Scan(nam::ClientContext& ctx, Key lo,
   const bool hash = partitioner_.kind() == PartitionKind::kHash;
   for (uint32_t server : partitioner_.ServersFor(lo, hi)) {
     std::vector<KV>* sink = out == nullptr ? nullptr : (hash ? &merged : out);
-    const rdma::RemotePtr leaf =
-        co_await engine_.DescendToLeaf(ops, server, lo);
-    if (leaf.is_null()) {  // dead client: report the partial count
-      if (status != nullptr) *status = Status::Unavailable("client crashed");
+    const DescentResult d = co_await engine_.DescendToLeaf(ops, server, lo);
+    if (!d.ok()) {  // dead client: report the partial count
+      if (status != nullptr) *status = d.status;
       break;
     }
     // Later partitions may still be reachable after one chain degrades, so
     // keep going for the best-effort count but report the first failure
     // (kTimedOut vs kUnavailable matters to the YCSB FailureBreakdown).
     Status chain_status;
-    found += co_await LeafLevel::ScanChain(ops, leaf, lo, hi, sink,
-                                           &chain_status);
+    found += co_await LeafLevel::ScanChain(ops, d.leaf, lo, hi, sink,
+                                           &chain_status, d.fence);
     if (!chain_status.ok() && status != nullptr && status->ok()) {
       *status = chain_status;
     }
@@ -189,16 +187,15 @@ sim::Task<Status> CoarseOneSidedIndex::Insert(nam::ClientContext& ctx,
   metrics::OpSpan span(ctx.trace(), "insert");
   RemoteOps ops(ctx);
   const uint32_t server = partitioner_.ServerFor(key);
-  const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, server, key);
-  if (leaf.is_null()) co_return Status::Unavailable("client crashed");
+  const DescentResult d = co_await engine_.DescendToLeaf(ops, server, key);
+  if (!d.ok()) co_return d.status;
   LeafLevel::SplitInfo split;
   const Status status = co_await LeafLevel::InsertAt(
-      ops, leaf, key, value, &split, static_cast<int32_t>(server));
+      ops, d.leaf, key, value, &split, static_cast<int32_t>(server), d.fence);
   if (!status.ok()) co_return status;
   if (split.split) {
     co_return co_await engine_.InstallSeparator(ops, server, 1,
-                                                split.separator, leaf,
+                                                split.separator, d.leaf,
                                                 split.right);
   }
   co_return Status::OK();
@@ -209,10 +206,9 @@ sim::Task<Status> CoarseOneSidedIndex::Update(nam::ClientContext& ctx,
   metrics::OpSpan span(ctx.trace(), "update");
   RemoteOps ops(ctx);
   const uint32_t server = partitioner_.ServerFor(key);
-  const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, server, key);
-  if (leaf.is_null()) co_return Status::Unavailable("client crashed");
-  co_return co_await LeafLevel::UpdateAt(ops, leaf, key, value);
+  const DescentResult d = co_await engine_.DescendToLeaf(ops, server, key);
+  if (!d.ok()) co_return d.status;
+  co_return co_await LeafLevel::UpdateAt(ops, d.leaf, key, value, d.fence);
 }
 
 sim::Task<uint64_t> CoarseOneSidedIndex::LookupAll(nam::ClientContext& ctx,
@@ -221,10 +217,9 @@ sim::Task<uint64_t> CoarseOneSidedIndex::LookupAll(nam::ClientContext& ctx,
   metrics::OpSpan span(ctx.trace(), "lookup_all");
   RemoteOps ops(ctx);
   const uint32_t server = partitioner_.ServerFor(key);
-  const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, server, key);
-  if (leaf.is_null()) co_return 0;
-  co_return co_await LeafLevel::CollectAt(ops, leaf, key, out);
+  const DescentResult d = co_await engine_.DescendToLeaf(ops, server, key);
+  if (!d.ok()) co_return 0;
+  co_return co_await LeafLevel::CollectAt(ops, d.leaf, key, out, d.fence);
 }
 
 sim::Task<Status> CoarseOneSidedIndex::Delete(nam::ClientContext& ctx,
@@ -232,10 +227,9 @@ sim::Task<Status> CoarseOneSidedIndex::Delete(nam::ClientContext& ctx,
   metrics::OpSpan span(ctx.trace(), "delete");
   RemoteOps ops(ctx);
   const uint32_t server = partitioner_.ServerFor(key);
-  const rdma::RemotePtr leaf =
-      co_await engine_.DescendToLeaf(ops, server, key);
-  if (leaf.is_null()) co_return Status::Unavailable("client crashed");
-  co_return co_await LeafLevel::DeleteAt(ops, leaf, key);
+  const DescentResult d = co_await engine_.DescendToLeaf(ops, server, key);
+  if (!d.ok()) co_return d.status;
+  co_return co_await LeafLevel::DeleteAt(ops, d.leaf, key, d.fence);
 }
 
 sim::Task<uint64_t> CoarseOneSidedIndex::GarbageCollect(

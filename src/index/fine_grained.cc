@@ -61,13 +61,12 @@ sim::Task<LookupResult> FineGrainedIndex::Lookup(nam::ClientContext& ctx,
   // feeds SearchChain's first iteration — the one-RTT lookup.
   TraversalEngine::DescentPrefetch prefetch;
   prefetch.leaf_buf = ctx.page_b();
-  const rdma::RemotePtr leaf =
+  const DescentResult d =
       co_await engine_.DescendToLeaf(ops, tree_, key, &prefetch);
-  if (leaf.is_null()) {
-    co_return LookupResult{false, 0, Status::Unavailable("client crashed")};
-  }
+  if (!d.ok()) co_return LookupResult{false, 0, d.status};
   co_return co_await LeafLevel::SearchChain(
-      ops, leaf, key, prefetch.leaf_image_valid ? ctx.page_b() : nullptr);
+      ops, d.leaf, key, prefetch.leaf_image_valid ? ctx.page_b() : nullptr,
+      d.fence);
 }
 
 sim::Task<void> FineGrainedIndex::MultiGet(nam::ClientContext& ctx,
@@ -122,30 +121,31 @@ sim::Task<uint64_t> FineGrainedIndex::Scan(nam::ClientContext& ctx, Key lo,
                                            Status* status) {
   metrics::OpSpan span(ctx.trace(), "scan");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, lo);
-  if (leaf.is_null()) {
-    if (status != nullptr) *status = Status::Unavailable("client crashed");
+  const DescentResult d = co_await engine_.DescendToLeaf(ops, tree_, lo);
+  if (!d.ok()) {
+    if (status != nullptr) *status = d.status;
     co_return 0;
   }
-  co_return co_await LeafLevel::ScanChain(ops, leaf, lo, hi, out, status);
+  co_return co_await LeafLevel::ScanChain(ops, d.leaf, lo, hi, out, status,
+                                          d.fence);
 }
 
 sim::Task<Status> FineGrainedIndex::Insert(nam::ClientContext& ctx, Key key,
                                            Value value) {
   metrics::OpSpan span(ctx.trace(), "insert");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, key);
-  if (leaf.is_null()) co_return Status::Unavailable("client crashed");
+  const DescentResult d = co_await engine_.DescendToLeaf(ops, tree_, key);
+  if (!d.ok()) co_return d.status;
   LeafLevel::SplitInfo split;
-  const Status status =
-      co_await LeafLevel::InsertAt(ops, leaf, key, value, &split);
+  const Status status = co_await LeafLevel::InsertAt(
+      ops, d.leaf, key, value, &split, /*alloc_server=*/-1, d.fence);
   if (!status.ok()) co_return status;
   if (split.split) {
     // The left page of the split is the page InsertAt actually modified;
-    // it may differ from `leaf` after chain chases, but the separator
+    // it may differ from `d.leaf` after chain chases, but the separator
     // install only needs (sep, right).
     co_return co_await engine_.InstallSeparator(ops, tree_, 1,
-                                                split.separator, leaf,
+                                                split.separator, d.leaf,
                                                 split.right);
   }
   co_return Status::OK();
@@ -155,9 +155,9 @@ sim::Task<Status> FineGrainedIndex::Update(nam::ClientContext& ctx, Key key,
                                            Value value) {
   metrics::OpSpan span(ctx.trace(), "update");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, key);
-  if (leaf.is_null()) co_return Status::Unavailable("client crashed");
-  co_return co_await LeafLevel::UpdateAt(ops, leaf, key, value);
+  const DescentResult d = co_await engine_.DescendToLeaf(ops, tree_, key);
+  if (!d.ok()) co_return d.status;
+  co_return co_await LeafLevel::UpdateAt(ops, d.leaf, key, value, d.fence);
 }
 
 sim::Task<uint64_t> FineGrainedIndex::LookupAll(nam::ClientContext& ctx,
@@ -165,17 +165,17 @@ sim::Task<uint64_t> FineGrainedIndex::LookupAll(nam::ClientContext& ctx,
                                                 std::vector<Value>* out) {
   metrics::OpSpan span(ctx.trace(), "lookup_all");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, key);
-  if (leaf.is_null()) co_return 0;
-  co_return co_await LeafLevel::CollectAt(ops, leaf, key, out);
+  const DescentResult d = co_await engine_.DescendToLeaf(ops, tree_, key);
+  if (!d.ok()) co_return 0;
+  co_return co_await LeafLevel::CollectAt(ops, d.leaf, key, out, d.fence);
 }
 
 sim::Task<Status> FineGrainedIndex::Delete(nam::ClientContext& ctx, Key key) {
   metrics::OpSpan span(ctx.trace(), "delete");
   RemoteOps ops(ctx);
-  const rdma::RemotePtr leaf = co_await engine_.DescendToLeaf(ops, tree_, key);
-  if (leaf.is_null()) co_return Status::Unavailable("client crashed");
-  co_return co_await LeafLevel::DeleteAt(ops, leaf, key);
+  const DescentResult d = co_await engine_.DescendToLeaf(ops, tree_, key);
+  if (!d.ok()) co_return d.status;
+  co_return co_await LeafLevel::DeleteAt(ops, d.leaf, key, d.fence);
 }
 
 sim::Task<uint64_t> FineGrainedIndex::GarbageCollect(nam::ClientContext& ctx) {

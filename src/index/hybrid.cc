@@ -133,9 +133,9 @@ sim::Task<DescentResult> HybridIndex::ResolveLeaf(nam::ClientContext& ctx,
   const auto code = static_cast<StatusCode>(resp.status);
   if (code != StatusCode::kOk) {
     co_return DescentResult{Status::FromCode(code, "find-leaf rpc"),
-                            rdma::RemotePtr::Null()};
+                            rdma::RemotePtr::Null(), {}};
   }
-  co_return DescentResult{Status::OK(), rdma::RemotePtr(resp.arg0)};
+  co_return DescentResult{Status::OK(), rdma::RemotePtr(resp.arg0), {}};
 }
 
 sim::Task<LookupResult> HybridIndex::Lookup(nam::ClientContext& ctx,
@@ -144,7 +144,8 @@ sim::Task<LookupResult> HybridIndex::Lookup(nam::ClientContext& ctx,
   const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
   if (!fl.ok()) co_return LookupResult{false, 0, fl.status};
   RemoteOps ops(ctx);
-  co_return co_await LeafLevel::SearchChain(ops, fl.leaf, key);
+  co_return co_await LeafLevel::SearchChain(ops, fl.leaf, key, nullptr,
+                                            fl.fence);
 }
 
 sim::Task<void> HybridIndex::MultiGet(nam::ClientContext& ctx,
@@ -209,7 +210,8 @@ sim::Task<uint64_t> HybridIndex::Scan(nam::ClientContext& ctx, Key lo, Key hi,
   RemoteOps ops(ctx);
   // The leaf chain is global, so one traversal covers the whole range even
   // across partition boundaries (§5.2).
-  co_return co_await LeafLevel::ScanChain(ops, fl.leaf, lo, hi, out, status);
+  co_return co_await LeafLevel::ScanChain(ops, fl.leaf, lo, hi, out, status,
+                                          fl.fence);
 }
 
 sim::Task<Status> HybridIndex::Insert(nam::ClientContext& ctx, Key key,
@@ -220,7 +222,8 @@ sim::Task<Status> HybridIndex::Insert(nam::ClientContext& ctx, Key key,
   RemoteOps ops(ctx);
   LeafLevel::SplitInfo split;
   const Status status =
-      co_await LeafLevel::InsertAt(ops, fl.leaf, key, value, &split);
+      co_await LeafLevel::InsertAt(ops, fl.leaf, key, value, &split,
+                                   /*alloc_server=*/-1, fl.fence);
   if (!status.ok()) co_return status;
   if (split.split) {
     // This client just learned where keys at/above the separator live;
@@ -252,7 +255,7 @@ sim::Task<Status> HybridIndex::Update(nam::ClientContext& ctx, Key key,
   const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
   if (!fl.ok()) co_return fl.status;
   RemoteOps ops(ctx);
-  co_return co_await LeafLevel::UpdateAt(ops, fl.leaf, key, value);
+  co_return co_await LeafLevel::UpdateAt(ops, fl.leaf, key, value, fl.fence);
 }
 
 sim::Task<uint64_t> HybridIndex::LookupAll(nam::ClientContext& ctx, Key key,
@@ -261,7 +264,7 @@ sim::Task<uint64_t> HybridIndex::LookupAll(nam::ClientContext& ctx, Key key,
   const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
   if (!fl.ok()) co_return 0;
   RemoteOps ops(ctx);
-  co_return co_await LeafLevel::CollectAt(ops, fl.leaf, key, out);
+  co_return co_await LeafLevel::CollectAt(ops, fl.leaf, key, out, fl.fence);
 }
 
 sim::Task<Status> HybridIndex::Delete(nam::ClientContext& ctx, Key key) {
@@ -269,7 +272,7 @@ sim::Task<Status> HybridIndex::Delete(nam::ClientContext& ctx, Key key) {
   const DescentResult fl = co_await engine_.ResolveLeaf(ctx, *this, key);
   if (!fl.ok()) co_return fl.status;
   RemoteOps ops(ctx);
-  co_return co_await LeafLevel::DeleteAt(ops, fl.leaf, key);
+  co_return co_await LeafLevel::DeleteAt(ops, fl.leaf, key, fl.fence);
 }
 
 sim::Task<uint64_t> HybridIndex::GarbageCollect(nam::ClientContext& ctx) {

@@ -52,10 +52,17 @@ struct IndexConfig {
   /// coarse-one-sided designs cache inner-node images to skip remote reads
   /// during descent; the hybrid design caches resolved leaf routes
   /// (key -> leaf pointer) to skip find-leaf RPCs. Stale entries are safe
-  /// (the B-link sibling chase recovers — see docs/traversal.md);
-  /// `client_cache_ttl` bounds the staleness window.
+  /// (the B-link sibling chase recovers) and short-lived: fence validation
+  /// drops an entry as soon as the first remote image of a page it routed
+  /// to disagrees with it (docs/traversal.md, "Fence validation"). A key
+  /// equal to a separator legitimately chases once (ties route left), so
+  /// the check compares fences and never counts chases.
   uint32_t client_cache_pages = 0;
-  SimTime client_cache_ttl = 2 * kMillisecond;
+  /// Opt-in ablation setting: expire every cache entry this long after
+  /// loading it (0 = never, the default; fence validation alone bounds
+  /// staleness). The speculative-descent benches use it to measure
+  /// prediction through expired images.
+  SimTime client_cache_ttl = 0;
 
   /// One-RTT speculative descent for the one-sided designs (FG,
   /// CG-one-sided; requires client_cache_pages > 0). Predict the full

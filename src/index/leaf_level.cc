@@ -110,7 +110,8 @@ Status LeafLevel::Build(rdma::Fabric& fabric,
 sim::Task<LookupResult> LeafLevel::SearchChain(RemoteOps ops,
                                                rdma::RemotePtr start,
                                                Key key,
-                                               const uint8_t* preread) {
+                                               const uint8_t* preread,
+                                               FenceCheck fence) {
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
   // namtree-lint: bounded-loop(chain-chase: every step moves right along ascending fences and stops at the first fence above key; read failures exit)
@@ -127,6 +128,7 @@ sim::Task<LookupResult> LeafLevel::SearchChain(RemoteOps ops,
       image = buf;
     }
     PageView view(const_cast<uint8_t*>(image), ops.page_size());
+    fence.Check(view);
     if (view.is_head()) {
       ptr = rdma::RemotePtr(view.right_sibling());
       if (ptr.is_null()) co_return LookupResult{false, 0, Status::OK()};
@@ -201,7 +203,8 @@ sim::Task<Status> LeafLevel::SearchChainMulti(RemoteOps ops,
 
 sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
                                          Key lo, Key hi,
-                                         std::vector<KV>* out, Status* status) {
+                                         std::vector<KV>* out, Status* status,
+                                         FenceCheck fence) {
   // Every clean exit leaves this OK; the degraded-mode exits overwrite it
   // with the failing read's status so the caller can tell kUnavailable
   // (dead server/client) from kTimedOut (flaky-net budget exhausted).
@@ -229,6 +232,7 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
       co_return found;
     }
     PageView view(buf, page_size);
+    fence.Check(view);
 
     if (!view.is_head()) {
       found += view.LeafCollectLive(cursor, hi, out);
@@ -315,7 +319,8 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
 sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
                                       Key key, Value value,
                                       SplitInfo* split,
-                                      int32_t alloc_server) {
+                                      int32_t alloc_server,
+                                      FenceCheck fence) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
@@ -326,6 +331,7 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
     if (!read.ok()) co_return read.status;
     const uint64_t version = read.version;
     PageView view(buf, page_size);
+    fence.Check(view);
     if (view.is_head()) {
       ptr = rdma::RemotePtr(view.right_sibling());
       if (ptr.is_null()) co_return Status::Corruption("chain ends in a head");
@@ -404,7 +410,8 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
 }
 
 sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
-                                      Key key, Value value) {
+                                      Key key, Value value,
+                                      FenceCheck fence) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
@@ -412,6 +419,7 @@ sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
     const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
     if (!read.ok()) co_return read.status;
     PageView view(buf, page_size);
+    fence.Check(view);
     if (view.is_head()) {
       ptr = rdma::RemotePtr(view.right_sibling());
       if (ptr.is_null()) co_return Status::NotFound();
@@ -447,7 +455,8 @@ sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
 
 sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
                                          Key key,
-                                         std::vector<Value>* out) {
+                                         std::vector<Value>* out,
+                                         FenceCheck fence) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
@@ -459,6 +468,7 @@ sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
   for (;;) {
     if (!(co_await ops.ReadPageUnlocked(ptr, buf)).ok()) co_return found;
     PageView view(buf, page_size);
+    fence.Check(view);
     if (view.is_head()) {
       ptr = rdma::RemotePtr(view.right_sibling());
       if (ptr.is_null()) co_return found;
@@ -474,7 +484,7 @@ sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
 }
 
 sim::Task<Status> LeafLevel::DeleteAt(RemoteOps ops, rdma::RemotePtr start,
-                                      Key key) {
+                                      Key key, FenceCheck fence) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
@@ -482,6 +492,7 @@ sim::Task<Status> LeafLevel::DeleteAt(RemoteOps ops, rdma::RemotePtr start,
     const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
     if (!read.ok()) co_return read.status;
     PageView view(buf, page_size);
+    fence.Check(view);
     if (view.is_head()) {
       ptr = rdma::RemotePtr(view.right_sibling());
       if (ptr.is_null()) co_return Status::NotFound();

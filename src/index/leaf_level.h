@@ -11,6 +11,7 @@
 #include "index/index.h"
 #include "index/remote_ops.h"
 #include "index/server_tree.h"
+#include "index/traversal.h"
 #include "rdma/fabric.h"
 #include "rdma/remote_ptr.h"
 #include "sim/task.h"
@@ -24,7 +25,10 @@ namespace namtree::index {
 /// (paper §4.3).
 ///
 /// All functions are stateless: chain state lives entirely in the memory
-/// servers' regions.
+/// servers' regions. The entry points a descent hands its leaf to take the
+/// descent's FenceCheck (DescentResult::fence) and check it against the
+/// first image they read, so a stale cached parent or route is dropped
+/// (docs/traversal.md, "Fence validation").
 class LeafLevel {
  public:
   /// Outcome of `InsertAt` when the target leaf had to be split.
@@ -57,7 +61,8 @@ class LeafLevel {
   static sim::Task<LookupResult> SearchChain(RemoteOps ops,
                                              rdma::RemotePtr start,
                                              btree::Key key,
-                                             const uint8_t* preread = nullptr);
+                                             const uint8_t* preread = nullptr,
+                                             FenceCheck fence = {});
 
   /// Multi-point search (Index::MultiGet): serves `keys` — ascending, all
   /// routed to the chain position at `start` by the caller's grouping —
@@ -81,7 +86,8 @@ class LeafLevel {
   static sim::Task<uint64_t> ScanChain(RemoteOps ops, rdma::RemotePtr start,
                                        btree::Key lo, btree::Key hi,
                                        std::vector<btree::KV>* out,
-                                       Status* status = nullptr);
+                                       Status* status = nullptr,
+                                       FenceCheck fence = {});
 
   /// One-sided insert into the chain at the leaf covering `key` (Listing 2
   /// leaf phase): remote CAS lock, local modify, WRITE + FAA unlock. On a
@@ -91,21 +97,24 @@ class LeafLevel {
   static sim::Task<Status> InsertAt(RemoteOps ops, rdma::RemotePtr start,
                                     btree::Key key, btree::Value value,
                                     SplitInfo* split,
-                                    int32_t alloc_server = -1);
+                                    int32_t alloc_server = -1,
+                                    FenceCheck fence = {});
 
   /// One-sided in-place value update of the first live entry with `key`.
   static sim::Task<Status> UpdateAt(RemoteOps ops, rdma::RemotePtr start,
-                                    btree::Key key, btree::Value value);
+                                    btree::Key key, btree::Value value,
+                                    FenceCheck fence = {});
 
   /// Collects the values of all live entries with `key`, chasing the chain
   /// across duplicate runs. Returns the number found.
   static sim::Task<uint64_t> CollectAt(RemoteOps ops, rdma::RemotePtr start,
                                        btree::Key key,
-                                       std::vector<btree::Value>* out);
+                                       std::vector<btree::Value>* out,
+                                       FenceCheck fence = {});
 
   /// One-sided tombstone delete at the leaf covering `key`.
   static sim::Task<Status> DeleteAt(RemoteOps ops, rdma::RemotePtr start,
-                                    btree::Key key);
+                                    btree::Key key, FenceCheck fence = {});
 
   /// Epoch-GC pass run from a compute server: compacts tombstoned entries
   /// out of every leaf using the one-sided lock protocol. Returns the

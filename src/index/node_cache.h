@@ -14,12 +14,18 @@ namespace namtree::index {
 /// extension: compute servers keep copies of hot index nodes to skip remote
 /// reads during traversal.
 ///
-/// Invalidation is epoch-based: an entry older than `ttl` is discarded on
-/// access (the appendix observes that precise invalidation is the hard
-/// problem; a TTL bounds the staleness window instead). Stale images are
-/// *safe* in a B-link tree — they can only route a traversal to a node
-/// whose key range has since shrunk, and the sibling chase recovers — so
-/// staleness costs extra hops, never correctness.
+/// Entries live until a fence check proves them stale (docs/traversal.md,
+/// "Fence validation"). Stale images are *safe* in a B-link tree: they can
+/// only route a traversal to a node whose key range has since shrunk, and
+/// the sibling chase recovers, so staleness costs extra hops, never
+/// correctness. The traversal engine bounds those hops: the first remote
+/// image of a page reached through a cached parent must carry the high
+/// fence the parent promised for it (a leaf route must still cover its
+/// key), and an entry whose promise is broken is dropped with Invalidate,
+/// so the next descent re-reads it. `ttl` > 0 additionally expires every
+/// entry that long after loading: an opt-in ablation setting (the
+/// speculative-descent benches measure that regime); 0, the default, never
+/// expires.
 ///
 /// Eviction is LRU over a fixed page budget.
 ///
@@ -41,6 +47,8 @@ class NodeCache {
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t expirations() const { return expirations_; }
+  /// Entries dropped by Invalidate (the fence checks' evictions).
+  uint64_t invalidations() const { return invalidations_; }
   size_t size() const { return size_; }
 
   /// Returns the cached image for `ptr_raw` (valid until the next cache
@@ -112,10 +120,12 @@ class NodeCache {
     slots_[slot].loaded_at = now;
   }
 
-  /// Drops one entry (e.g. after this client split that node itself).
+  /// Drops one entry (a fence check proved it stale); no-op when absent.
   void Invalidate(uint64_t ptr_raw) {
     const uint32_t pos = Find(ptr_raw);
-    if (pos != kNil) Erase(pos);
+    if (pos == kNil) return;
+    invalidations_++;
+    Erase(pos);
   }
 
  private:
@@ -258,6 +268,7 @@ class NodeCache {
   // namtree-lint: metric-ok(see hits_)
   uint64_t misses_ = 0;
   uint64_t expirations_ = 0;
+  uint64_t invalidations_ = 0;
 };
 
 }  // namespace namtree::index

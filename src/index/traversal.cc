@@ -9,6 +9,28 @@ using btree::Key;
 using btree::kInfinityKey;
 using btree::PageView;
 
+namespace {
+
+DescentResult Crashed() {
+  return DescentResult{Status::Unavailable("client crashed"),
+                       rdma::RemotePtr::Null(), {}};
+}
+
+}  // namespace
+
+void FenceCheck::Check(const PageView& view) {
+  if (cache_ == nullptr) return;
+  NodeCache* cache = cache_;
+  cache_ = nullptr;
+  if (view.is_drained()) return;
+  // A route is stale once its leaf no longer covers the key: the key lies
+  // above the leaf's high fence, inclusively, as at an inner node.
+  const bool broken =
+      route_ ? view.right_sibling() != 0 && entry_ > view.high_key()
+             : view.high_key() != fence_;
+  if (broken) cache->Invalidate(entry_);
+}
+
 uint32_t TraversalEngine::AddTree(int32_t alloc_server,
                                   rdma::RemotePtr catalog_ptr) {
   Tree tree;
@@ -47,6 +69,7 @@ TraversalEngine::CacheStats TraversalEngine::GetCacheStats() const {
     stats.hits += cache->hits();
     stats.misses += cache->misses();
     stats.expirations += cache->expirations();
+    stats.fence_invalidations += cache->invalidations();
   }
   return stats;
 }
@@ -202,11 +225,13 @@ rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
   return rdma::RemotePtr::Null();
 }
 
-sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
+sim::Task<DescentResult> TraversalEngine::DescendToLeaf(
     RemoteOps& ops, uint32_t tree, Key key, DescentPrefetch* prefetch) {
   if (prefetch != nullptr) prefetch->leaf_image_valid = false;
   rdma::RemotePtr ptr = trees_[tree].root;
-  if (trees_[tree].root_level == 0) co_return ptr;  // single-leaf tree
+  if (trees_[tree].root_level == 0) {
+    co_return DescentResult{Status::OK(), ptr, {}};  // single-leaf tree
+  }
   uint8_t* buf = ops.ctx().page_a();
   NodeCache* cache = CacheFor(ops.ctx().client_id());
 
@@ -219,11 +244,13 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
   if (opts_.speculative_descent &&
       opts_.cache_mode == CacheMode::kInnerImages && cache != nullptr) {
     co_await SpeculatePath(ops, tree, key, cache, prefetch, &spec);
-    if (!ops.alive()) co_return rdma::RemotePtr::Null();
+    if (!ops.alive()) co_return Crashed();
   }
 
   rdma::RemotePtr leaf;
   bool fallback_read = false;  // a predicted hop needed a real read
+  // The promise of the cached image that routed the descent to `ptr`.
+  FenceCheck fence;
   // namtree-lint: bounded-loop(blink-descent: every step moves down a level or right along ascending fences; read failures exit)
   for (;;) {
     // A.4 caching: inner-node images may come from the client cache; a
@@ -237,13 +264,14 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
     if (cache != nullptr) {
       image = cache->Get(ptr.raw(), ops.fabric().simulator().now());
     }
+    const bool from_cache = image != nullptr;
     if (image == nullptr && spec.attempted) {
       image = spec.FreshImage(ptr.raw());
       fresh_from_batch = image != nullptr;
     }
     if (image == nullptr) {
       const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
-      if (!read.ok()) co_return rdma::RemotePtr::Null();
+      if (!read.ok()) co_return Crashed();
       image = buf;
       if (spec.attempted &&
           (spec.complete || spec.Predicted(ptr.raw()))) {
@@ -263,6 +291,13 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
       cache->Put(ptr.raw(), image, ops.fabric().simulator().now());
     }
     PageView view(const_cast<uint8_t*>(image), ops.page_size());
+    // Only a remote image is evidence against the promise: a cached child
+    // may be older than its cached parent.
+    if (from_cache) {
+      fence = FenceCheck();
+    } else {
+      fence.Check(view);
+    }
     if (view.level() == 0) {
       // Stale root metadata can land us on a leaf; hand it to the caller.
       leaf = ptr;
@@ -272,7 +307,12 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
       ptr = rdma::RemotePtr(view.right_sibling());
       continue;
     }
-    const rdma::RemotePtr child(view.InnerChildFor(key));
+    const uint32_t i = view.InnerChildIndex(key);
+    if (from_cache) {
+      fence = FenceCheck(cache, ptr.raw(), view.InnerChildFence(i),
+                         /*route=*/false);
+    }
+    const rdma::RemotePtr child(view.inner_children()[i]);
     if (view.level() == 1) {
       leaf = child;
       break;
@@ -298,7 +338,7 @@ sim::Task<rdma::RemotePtr> TraversalEngine::DescendToLeaf(
     }
     if (leaf_usable) prefetch->leaf_image_valid = true;
   }
-  co_return leaf;
+  co_return DescentResult{Status::OK(), leaf, fence};
 }
 
 sim::Task<bool> TraversalEngine::TryGrowRoot(RemoteOps& ops, uint32_t tree,
@@ -353,6 +393,9 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
     rdma::RemotePtr ptr = trees_[tree].root;
     bool restart = false;
     NodeCache* cache = CacheFor(ops.ctx().client_id());
+    // The promise of the cached image that routed the descent to `ptr`,
+    // checked as in DescendToLeaf.
+    FenceCheck fence;
     // namtree-lint: bounded-loop(blink-descent)
     for (;;) {
       // A.4 caching on the install descent: hops *above* the target level
@@ -365,10 +408,14 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
         if (image != nullptr) {
           PageView cview(const_cast<uint8_t*>(image), ops.page_size());
           if (cview.level() > level) {
+            fence = FenceCheck();
             if (cview.NeedsChase(sep)) {
               ptr = rdma::RemotePtr(cview.right_sibling());
             } else {
-              ptr = rdma::RemotePtr(cview.InnerChildFor(sep));
+              const uint32_t i = cview.InnerChildIndex(sep);
+              fence = FenceCheck(cache, ptr.raw(), cview.InnerChildFence(i),
+                                 /*route=*/false);
+              ptr = rdma::RemotePtr(cview.inner_children()[i]);
             }
             continue;
           }
@@ -377,6 +424,7 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
       const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
       if (!read.ok()) co_return read.status;
       PageView view(buf, ops.page_size());
+      fence.Check(view);
       if (view.level() < level) {
         // Stale root below the target level: re-check the catalog state.
         restart = true;
@@ -503,7 +551,8 @@ sim::Task<DescentResult> TraversalEngine::ResolveLeaf(nam::ClientContext& ctx,
     if (image != nullptr) {
       uint64_t raw;
       std::memcpy(&raw, image, 8);
-      co_return DescentResult{Status::OK(), rdma::RemotePtr(raw)};
+      co_return DescentResult{Status::OK(), rdma::RemotePtr(raw),
+                              FenceCheck(cache, key, 0, /*route=*/true)};
     }
   }
   DescentResult result = co_await resolver.ResolveLeaf(ctx, key);

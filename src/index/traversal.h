@@ -15,13 +15,49 @@
 
 namespace namtree::index {
 
+/// Fence validation of the client cache (docs/traversal.md, "Fence
+/// validation"): what a cached entry promised about the page a descent
+/// reached through it, checked against the first image of that page read
+/// remotely. A cached inner image promises the high fence of the child it
+/// routed to (PageView::InnerChildFence). A cached leaf route promises that
+/// its leaf still covers the key under the inner (inclusive) fence
+/// contract: a key equal to the leaf's high fence is a tie that a fresh
+/// resolution routes to the same leaf, so only a key above the fence is
+/// evidence. A broken promise drops the entry (NodeCache::Invalidate); the
+/// next descent misses and re-reads it. Default-constructed, nothing is
+/// promised and Check is a no-op: the state of every cacheless descent.
+class FenceCheck {
+ public:
+  FenceCheck() = default;
+
+  /// Checks `view`, the first remote image of the promised page, and
+  /// disarms: later calls (chases, re-reads after a lost lock) are no-ops.
+  /// Drained leaves are skipped: epoch rebalancing leaves them in place as
+  /// forwarding stubs that parents keep naming, with a zero high fence.
+  void Check(const btree::PageView& view);
+
+ private:
+  friend class TraversalEngine;
+
+  FenceCheck(NodeCache* cache, uint64_t entry, btree::Key fence, bool route)
+      : cache_(cache), entry_(entry), fence_(fence), route_(route) {}
+
+  NodeCache* cache_ = nullptr;  ///< null: nothing promised
+  uint64_t entry_ = 0;          ///< the promising entry's cache key
+  btree::Key fence_ = 0;        ///< promised high fence (inner images)
+  bool route_ = false;          ///< entry_ is a leaf route's lookup key
+};
+
 /// Outcome of resolving a starting leaf for a key. OK carries a candidate
 /// leaf pointer (leaf-chain chases are still the caller's job, via the
-/// LeafLevel routines); any other status ended the resolution (kUnavailable
-/// for a dead caller, kTimedOut once an RPC deadline is exhausted).
+/// LeafLevel routines) and the cache's promise about it, which the caller
+/// hands to the LeafLevel routine that reads the leaf; any other status
+/// ended the resolution (kUnavailable for a dead caller, kTimedOut once an
+/// RPC deadline is exhausted).
 struct DescentResult {
   Status status;
   rdma::RemotePtr leaf;
+  FenceCheck fence;
 
   bool ok() const { return status.ok(); }
 };
@@ -62,12 +98,14 @@ class TraversalEngine {
   enum class CacheMode {
     kNone,
     /// Cache full inner-node images keyed by remote pointer (one-sided
-    /// descents). Stale images only route too far left; the chase recovers.
+    /// descents). Stale images only route too far left; the chase recovers
+    /// and the fence check drops the image (FenceCheck).
     kInnerImages,
     /// Cache resolved leaf pointers keyed by the exact lookup key (RPC
     /// designs). Stale routes only point too far left in the leaf chain
     /// (leaf coverage moves right under splits and drain-merges, never
-    /// left), so the chain chase recovers.
+    /// left), so the chain chase recovers and the fence check drops the
+    /// route.
     kLeafRoutes,
   };
 
@@ -109,7 +147,9 @@ class TraversalEngine {
     uint64_t hits = 0;
     // namtree-lint: metric-ok(see hits)
     uint64_t misses = 0;
-    uint64_t expirations = 0;
+    uint64_t expirations = 0;  ///< TTL expiries (opt-in TTL only)
+    /// Entries a broken fence promise dropped (FenceCheck).
+    uint64_t fence_invalidations = 0;
   };
 
   /// Root-policy hook for RPC designs: resolves a starting leaf for `key`
@@ -143,14 +183,15 @@ class TraversalEngine {
   // ---- One-sided descent ---------------------------------------------------
 
   /// Descends tree `tree`'s inner levels one-sided (paper Listing 2) to a
-  /// leaf candidate for `key`, consulting/seeding the inner-image cache.
-  /// Null means this client died mid-descent. With
+  /// leaf candidate for `key`, consulting/seeding the inner-image cache and
+  /// fence-checking every page reached through a cached image. Unavailable
+  /// means this client died mid-descent (or a read failed). With
   /// Options::speculative_descent the descent is prefixed by the
   /// predict→batch→validate pass (see Options); `prefetch`, when non-null,
   /// additionally requests the predicted leaf's image in the same batch.
-  sim::Task<rdma::RemotePtr> DescendToLeaf(RemoteOps& ops, uint32_t tree,
-                                           btree::Key key,
-                                           DescentPrefetch* prefetch = nullptr);
+  sim::Task<DescentResult> DescendToLeaf(RemoteOps& ops, uint32_t tree,
+                                         btree::Key key,
+                                         DescentPrefetch* prefetch = nullptr);
 
   /// Locally predicts the leaf for `key` from this client's cached inner
   /// images alone — Peek only: no verbs, no LRU touch, no stat skew.
@@ -177,7 +218,8 @@ class TraversalEngine {
   // ---- RPC leaf resolution (hybrid root policy) ----------------------------
 
   /// Resolves a starting leaf for `key` through `resolver`, consulting and
-  /// seeding the per-client leaf-route cache (CacheMode::kLeafRoutes).
+  /// seeding the per-client leaf-route cache (CacheMode::kLeafRoutes); a
+  /// cached route comes back with its FenceCheck armed.
   sim::Task<DescentResult> ResolveLeaf(nam::ClientContext& ctx,
                                        LeafResolver& resolver,
                                        btree::Key key);

@@ -87,6 +87,7 @@ TEST(NodeCacheTest, InvalidateDrops) {
   cache.Invalidate(1);
   EXPECT_EQ(cache.Get(1, 0), nullptr);
   cache.Invalidate(42);  // no-op
+  EXPECT_EQ(cache.invalidations(), 1u) << "only a dropped entry counts";
 }
 
 TEST(NodeCacheTest, PeekDoesNotMutate) {
@@ -147,6 +148,7 @@ class ReferenceCache {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t expirations = 0;
+  uint64_t invalidations = 0;
   size_t size() const { return entries_.size(); }
   std::vector<uint64_t> LruKeys() const {
     return std::vector<uint64_t>(lru_.begin(), lru_.end());
@@ -196,6 +198,7 @@ class ReferenceCache {
   void Invalidate(uint64_t key) {
     auto it = entries_.find(key);
     if (it == entries_.end()) return;
+    invalidations++;
     lru_.erase(it->second.lru_pos);
     entries_.erase(it);
   }
@@ -283,6 +286,7 @@ void RunDifferential(KeyShape shape, size_t capacity, SimTime ttl,
     ASSERT_EQ(cache.hits(), model.hits);
     ASSERT_EQ(cache.misses(), model.misses);
     ASSERT_EQ(cache.expirations(), model.expirations);
+    ASSERT_EQ(cache.invalidations(), model.invalidations);
     ASSERT_EQ(cache.size(), model.size());
     ASSERT_EQ(cache.LruKeys(), model.LruKeys());
     peak_size = std::max(peak_size, model.size());
