@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace namtree::index {
 
@@ -19,10 +20,8 @@ DescentResult Crashed() {
 }  // namespace
 
 void FenceCheck::Check(const PageView& view) {
-  if (cache_ == nullptr) return;
-  NodeCache* cache = cache_;
-  cache_ = nullptr;
-  if (view.is_drained()) return;
+  NodeCache* cache = std::exchange(cache_, nullptr);
+  if (cache == nullptr || view.is_drained()) return;
   // A route is stale once its leaf no longer covers the key: the key lies
   // above the leaf's high fence, inclusively, as at an inner node.
   const bool broken =

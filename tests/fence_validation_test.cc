@@ -11,6 +11,7 @@
 #include <iterator>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
