@@ -3,6 +3,9 @@
 // disabled vs enabled at several TTLs (ttl=inf: entries live until fence
 // validation drops them), for read-only and insert-heavy workloads
 // (staleness never breaks correctness, it only costs extra hops).
+// D_hot_insert concentrates YCSB D on a contiguous hot range (unscrambled
+// Zipf), so one region splits hard while readers keep returning to it:
+// the regime in which cached parents go stale and the fence checks fire.
 // `--json <path>` writes the machine-readable report CI reruns against the
 // committed BENCH_client_cache.json; EXPERIMENTS.md's A.4 table is
 // generated from that file.
@@ -51,8 +54,27 @@ int main(int argc, char** argv) {
   report.Set("config.keys", keys);
   report.Set("config.clients", static_cast<uint64_t>(clients));
   report.Set("config.cache_pages", static_cast<uint64_t>(1 << 16));
-  for (const char* workload : {"A_point", "D_50pct_insert"}) {
-    std::printf("\n# subplot: workload_%s\n", workload);
+  struct Workload {
+    const char* name;
+    namtree::ycsb::WorkloadMix mix;
+    namtree::ycsb::RequestDistribution dist;
+    SimTime duration;
+  };
+  const Workload workloads[] = {
+      {"A_point", namtree::ycsb::WorkloadA(),
+       namtree::ycsb::RequestDistribution::kUniform,
+       20 * namtree::kMillisecond},
+      {"D_50pct_insert", namtree::ycsb::WorkloadD(),
+       namtree::ycsb::RequestDistribution::kUniform,
+       20 * namtree::kMillisecond},
+      // Longer, so each client returns to the hot range many times
+      // between splits there.
+      {"D_hot_insert", namtree::ycsb::WorkloadD(),
+       namtree::ycsb::RequestDistribution::kZipfianClustered,
+       100 * namtree::kMillisecond},
+  };
+  for (const Workload& workload : workloads) {
+    std::printf("\n# subplot: workload_%s\n", workload.name);
     PrintRow({"cache", "ops_per_s", "round_trips_per_op", "hit_rate"});
     for (const Config& cache_config : configs) {
       rdma::FabricConfig fabric_config;
@@ -69,9 +91,9 @@ int main(int argc, char** argv) {
 
       namtree::ycsb::RunConfig run;
       run.num_clients = clients;
-      run.mix = workload[0] == 'A' ? namtree::ycsb::WorkloadA()
-                                   : namtree::ycsb::WorkloadD();
-      run.duration = 20 * namtree::kMillisecond;
+      run.mix = workload.mix;
+      run.dist = workload.dist;
+      run.duration = workload.duration;
       run.warmup = 2 * namtree::kMillisecond;
       const auto result =
           namtree::ycsb::RunWorkload(cluster, *index, keys, run);
@@ -86,7 +108,7 @@ int main(int argc, char** argv) {
                 lookups > 0 ? Num(cache_stats.hits / lookups) : "n/a"});
 
       const std::string cell =
-          std::string(workload) + "." + cache_config.json_key + ".";
+          std::string(workload.name) + "." + cache_config.json_key + ".";
       report.Set(cell + "ops_per_s", result.ops_per_sec);
       report.Set(cell + "round_trips_per_op", round_trips_per_op);
       report.Set(cell + "failed_ops", result.failed_ops());

@@ -58,13 +58,16 @@ def client_cache_table():
     for key, label in labels:
         point = report["A_point"][key]
         insert = report["D_50pct_insert"][key]
+        hot = report["D_hot_insert"][key]
         hit_rate = point.get("hit_rate")
         rows.append([label, rate(point["ops_per_s"]),
                      f"{point['round_trips_per_op']:.1f}",
                      "—" if hit_rate is None else f"{hit_rate:.2f}",
-                     rate(insert["ops_per_s"])])
+                     rate(insert["ops_per_s"]), rate(hot["ops_per_s"]),
+                     f"{hot['round_trips_per_op']:.2f}"])
     return table(["cache", "FG point ops/s", "round trips/op", "hit rate",
-                  "FG 50% insert ops/s"], rows)
+                  "FG 50% insert ops/s", "FG hot insert ops/s",
+                  "hot round trips/op"], rows)
 
 
 def design_matrix_table():
