@@ -117,18 +117,19 @@ sim::Task<void> CoarseOneSidedIndex::MultiGet(nam::ClientContext& ctx,
   size_t i = 0;
   while (i < order.size()) {
     const uint32_t server = partitioner_.ServerFor(keys[order[i]]);
-    const rdma::RemotePtr predicted =
+    const DescentResult predicted =
         engine_.PredictLeaf(ctx.client_id(), server, keys[order[i]], now);
     size_t j = i + 1;
-    if (!predicted.is_null()) {
+    if (!predicted.leaf.is_null()) {
       while (j < order.size() &&
              partitioner_.ServerFor(keys[order[j]]) == server &&
              engine_.PredictLeaf(ctx.client_id(), server, keys[order[j]],
-                                 now) == predicted) {
+                                 now)
+                     .leaf == predicted.leaf) {
         j++;
       }
     }
-    if (predicted.is_null() || j == i + 1) {
+    if (predicted.leaf.is_null() || j == i + 1) {
       results[order[i]] = co_await Lookup(ctx, keys[order[i]]);
       i = j;
       continue;
@@ -137,8 +138,8 @@ sim::Task<void> CoarseOneSidedIndex::MultiGet(nam::ClientContext& ctx,
     for (size_t k = i; k < j; ++k) group[k - i] = keys[order[k]];
     std::vector<LookupResult> group_results(group.size());
     // namtree-lint: status-ok(per-key statuses land in group_results)
-    (void)co_await LeafLevel::SearchChainMulti(ops, predicted, group,
-                                               group_results.data());
+    (void)co_await LeafLevel::SearchChainMulti(
+        ops, predicted.leaf, group, group_results.data(), predicted.fence);
     for (size_t k = i; k < j; ++k) {
       results[order[k]] = group_results[k - i];
     }

@@ -86,17 +86,18 @@ sim::Task<void> FineGrainedIndex::MultiGet(nam::ClientContext& ctx,
   const SimTime now = ctx.fabric().simulator().now();
   size_t i = 0;
   while (i < order.size()) {
-    const rdma::RemotePtr predicted =
+    const DescentResult predicted =
         engine_.PredictLeaf(ctx.client_id(), tree_, keys[order[i]], now);
     size_t j = i + 1;
-    if (!predicted.is_null()) {
+    if (!predicted.leaf.is_null()) {
       while (j < order.size() &&
              engine_.PredictLeaf(ctx.client_id(), tree_, keys[order[j]],
-                                 now) == predicted) {
+                                 now)
+                     .leaf == predicted.leaf) {
         j++;
       }
     }
-    if (predicted.is_null() || j == i + 1) {
+    if (predicted.leaf.is_null() || j == i + 1) {
       results[order[i]] = co_await Lookup(ctx, keys[order[i]]);
       i = j;
       continue;
@@ -105,10 +106,11 @@ sim::Task<void> FineGrainedIndex::MultiGet(nam::ClientContext& ctx,
     for (size_t k = i; k < j; ++k) group[k - i] = keys[order[k]];
     std::vector<LookupResult> group_results(group.size());
     // A stale prediction can only name a leaf too far left; the chain
-    // chase inside SearchChainMulti recovers, exactly as for Lookup.
+    // chase inside SearchChainMulti recovers and its fence check drops the
+    // stale image, exactly as for Lookup.
     // namtree-lint: status-ok(per-key statuses land in group_results)
-    (void)co_await LeafLevel::SearchChainMulti(ops, predicted, group,
-                                               group_results.data());
+    (void)co_await LeafLevel::SearchChainMulti(
+        ops, predicted.leaf, group, group_results.data(), predicted.fence);
     for (size_t k = i; k < j; ++k) {
       results[order[k]] = group_results[k - i];
     }

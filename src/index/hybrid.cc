@@ -1,7 +1,6 @@
 #include "index/hybrid.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace namtree::index {
 
@@ -163,23 +162,18 @@ sim::Task<void> HybridIndex::MultiGet(nam::ClientContext& ctx,
   std::stable_sort(order.begin(), order.end(), [&keys](size_t a, size_t b) {
     return keys[a] < keys[b];
   });
-  NodeCache* cache = engine_.CacheFor(ctx.client_id());
   const SimTime now = ctx.fabric().simulator().now();
-  const auto cached_route = [&](Key key) {
-    if (cache == nullptr) return rdma::RemotePtr::Null();
-    bool expired = false;
-    const uint8_t* image = cache->Peek(key, now, &expired);
-    if (image == nullptr || expired) return rdma::RemotePtr::Null();
-    uint64_t raw;
-    std::memcpy(&raw, image, 8);
-    return rdma::RemotePtr(raw);
-  };
   size_t i = 0;
   while (i < order.size()) {
-    const rdma::RemotePtr route = cached_route(keys[order[i]]);
+    const rdma::RemotePtr route =
+        engine_.PredictRoute(ctx.client_id(), keys[order[i]], now).leaf;
     size_t j = i + 1;
     if (!route.is_null()) {
-      while (j < order.size() && cached_route(keys[order[j]]) == route) j++;
+      while (j < order.size() &&
+             engine_.PredictRoute(ctx.client_id(), keys[order[j]], now)
+                     .leaf == route) {
+        j++;
+      }
     }
     if (route.is_null() || j == i + 1) {
       results[order[i]] = co_await Lookup(ctx, keys[order[i]]);
@@ -189,9 +183,14 @@ sim::Task<void> HybridIndex::MultiGet(nam::ClientContext& ctx,
     std::vector<Key> group(j - i);
     for (size_t k = i; k < j; ++k) group[k - i] = keys[order[k]];
     std::vector<LookupResult> group_results(group.size());
+    // The group's largest key carries the promise: keys ascend, so if any
+    // grouped route is stale, that one is. Dropping it splits the group on
+    // the next call, and the dropped key re-resolves through Lookup.
+    const FenceCheck fence =
+        engine_.PredictRoute(ctx.client_id(), group.back(), now).fence;
     // namtree-lint: status-ok(per-key statuses land in group_results)
     (void)co_await LeafLevel::SearchChainMulti(ops, route, group,
-                                               group_results.data());
+                                               group_results.data(), fence);
     for (size_t k = i; k < j; ++k) {
       results[order[k]] = group_results[k - i];
     }

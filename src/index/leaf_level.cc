@@ -150,7 +150,8 @@ sim::Task<LookupResult> LeafLevel::SearchChain(RemoteOps ops,
 sim::Task<Status> LeafLevel::SearchChainMulti(RemoteOps ops,
                                               rdma::RemotePtr start,
                                               std::span<const Key> keys,
-                                              LookupResult* results) {
+                                              LookupResult* results,
+                                              FenceCheck fence) {
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
   size_t i = 0;
@@ -171,6 +172,7 @@ sim::Task<Status> LeafLevel::SearchChainMulti(RemoteOps ops,
       have_image = true;
     }
     PageView view(buf, ops.page_size());
+    fence.Check(view);
     if (view.is_head()) {
       ptr = rdma::RemotePtr(view.right_sibling());
       if (ptr.is_null()) {  // chain ends in a trailing head: clean misses

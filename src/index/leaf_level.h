@@ -8,10 +8,10 @@
 #include "btree/page.h"
 #include "btree/types.h"
 #include "common/status.h"
+#include "index/fence_check.h"
 #include "index/index.h"
 #include "index/remote_ops.h"
 #include "index/server_tree.h"
-#include "index/traversal.h"
 #include "rdma/fabric.h"
 #include "rdma/remote_ptr.h"
 #include "sim/task.h"
@@ -26,8 +26,9 @@ namespace namtree::index {
 ///
 /// All functions are stateless: chain state lives entirely in the memory
 /// servers' regions. The entry points a descent hands its leaf to take the
-/// descent's FenceCheck (DescentResult::fence) and check it against the
-/// first image they read, so a stale cached parent or route is dropped
+/// descent's FenceCheck (DescentResult::fence, or a default-constructed one
+/// when no cache routed the caller) and check it against the first image
+/// they read, so a stale cached parent or route is dropped
 /// (docs/traversal.md, "Fence validation").
 class LeafLevel {
  public:
@@ -61,8 +62,8 @@ class LeafLevel {
   static sim::Task<LookupResult> SearchChain(RemoteOps ops,
                                              rdma::RemotePtr start,
                                              btree::Key key,
-                                             const uint8_t* preread = nullptr,
-                                             FenceCheck fence = {});
+                                             const uint8_t* preread,
+                                             FenceCheck fence);
 
   /// Multi-point search (Index::MultiGet): serves `keys` — ascending, all
   /// routed to the chain position at `start` by the caller's grouping —
@@ -70,11 +71,13 @@ class LeafLevel {
   /// every key covered by the current image is answered locally, and the
   /// walk chases right only once the next key is beyond the current fence.
   /// `results[i]` corresponds to `keys[i]`. Stops on the first failed read
-  /// (remaining results carry its status).
+  /// (remaining results carry its status). `fence` is the promise of the
+  /// cached entry the grouping predicted `start` from.
   static sim::Task<Status> SearchChainMulti(RemoteOps ops,
                                             rdma::RemotePtr start,
                                             std::span<const btree::Key> keys,
-                                            LookupResult* results);
+                                            LookupResult* results,
+                                            FenceCheck fence);
 
   /// Range scan over [lo, hi) starting at the leaf covering `lo`. Uses
   /// head-node prefetch via selectively-signaled batched reads; outdated
@@ -86,8 +89,7 @@ class LeafLevel {
   static sim::Task<uint64_t> ScanChain(RemoteOps ops, rdma::RemotePtr start,
                                        btree::Key lo, btree::Key hi,
                                        std::vector<btree::KV>* out,
-                                       Status* status = nullptr,
-                                       FenceCheck fence = {});
+                                       Status* status, FenceCheck fence);
 
   /// One-sided insert into the chain at the leaf covering `key` (Listing 2
   /// leaf phase): remote CAS lock, local modify, WRITE + FAA unlock. On a
@@ -96,25 +98,24 @@ class LeafLevel {
   /// `split` so the caller can install the separator.
   static sim::Task<Status> InsertAt(RemoteOps ops, rdma::RemotePtr start,
                                     btree::Key key, btree::Value value,
-                                    SplitInfo* split,
-                                    int32_t alloc_server = -1,
-                                    FenceCheck fence = {});
+                                    SplitInfo* split, int32_t alloc_server,
+                                    FenceCheck fence);
 
   /// One-sided in-place value update of the first live entry with `key`.
   static sim::Task<Status> UpdateAt(RemoteOps ops, rdma::RemotePtr start,
                                     btree::Key key, btree::Value value,
-                                    FenceCheck fence = {});
+                                    FenceCheck fence);
 
   /// Collects the values of all live entries with `key`, chasing the chain
   /// across duplicate runs. Returns the number found.
   static sim::Task<uint64_t> CollectAt(RemoteOps ops, rdma::RemotePtr start,
                                        btree::Key key,
                                        std::vector<btree::Value>* out,
-                                       FenceCheck fence = {});
+                                       FenceCheck fence);
 
   /// One-sided tombstone delete at the leaf covering `key`.
   static sim::Task<Status> DeleteAt(RemoteOps ops, rdma::RemotePtr start,
-                                    btree::Key key, FenceCheck fence = {});
+                                    btree::Key key, FenceCheck fence);
 
   /// Epoch-GC pass run from a compute server: compacts tombstoned entries
   /// out of every leaf using the one-sided lock protocol. Returns the

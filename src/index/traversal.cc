@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <utility>
 
 namespace namtree::index {
 
@@ -18,17 +17,6 @@ DescentResult Crashed() {
 }
 
 }  // namespace
-
-void FenceCheck::Check(const PageView& view) {
-  NodeCache* cache = std::exchange(cache_, nullptr);
-  if (cache == nullptr || view.is_drained()) return;
-  // A route is stale once its leaf no longer covers the key: the key lies
-  // above the leaf's high fence, inclusively, as at an inner node.
-  const bool broken =
-      route_ ? view.right_sibling() != 0 && entry_ > view.high_key()
-             : view.high_key() != fence_;
-  if (broken) cache->Invalidate(entry_);
-}
 
 uint32_t TraversalEngine::AddTree(int32_t alloc_server,
                                   rdma::RemotePtr catalog_ptr) {
@@ -191,37 +179,43 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
   }
 }
 
-rdma::RemotePtr TraversalEngine::PredictLeaf(uint32_t client_id,
-                                             uint32_t tree, Key key,
-                                             SimTime now) const {
-  if (opts_.cache_mode != CacheMode::kInnerImages) {
-    return rdma::RemotePtr::Null();
+DescentResult TraversalEngine::PredictLeaf(uint32_t client_id,
+                                           uint32_t tree, Key key,
+                                           SimTime now) const {
+  const DescentResult none{Status::OK(), rdma::RemotePtr::Null(), {}};
+  if (opts_.cache_mode != CacheMode::kInnerImages) return none;
+  if (trees_[tree].root_level == 0) {
+    return DescentResult{Status::OK(), trees_[tree].root, {}};
   }
-  if (trees_[tree].root_level == 0) return trees_[tree].root;
   if (client_id >= caches_.size() || caches_[client_id] == nullptr) {
-    return rdma::RemotePtr::Null();
+    return none;
   }
-  const NodeCache& cache = *caches_[client_id];
+  NodeCache& cache = *caches_[client_id];
   rdma::RemotePtr ptr = trees_[tree].root;
   const size_t max_hops =
       static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
   // namtree-lint: bounded-loop(local cache walk: hop budget max_hops)
   for (size_t hop = 0; hop < max_hops; ++hop) {
-    if (ptr.is_null()) return rdma::RemotePtr::Null();
+    if (ptr.is_null()) return none;
     bool expired = false;
     const uint8_t* img = cache.Peek(ptr.raw(), now, &expired);
-    if (img == nullptr) return rdma::RemotePtr::Null();
+    if (img == nullptr) return none;
     PageView v(const_cast<uint8_t*>(img), opts_.page_size);
-    if (v.level() == 0) return rdma::RemotePtr::Null();
+    if (v.level() == 0) return none;
     if (v.NeedsChase(key)) {
       ptr = rdma::RemotePtr(v.right_sibling());
       continue;
     }
-    const rdma::RemotePtr child(v.InnerChildFor(key));
-    if (v.level() == 1) return child;
+    const uint32_t i = v.InnerChildIndex(key);
+    const rdma::RemotePtr child(v.inner_children()[i]);
+    if (v.level() == 1) {
+      return DescentResult{Status::OK(), child,
+                           FenceCheck(&cache, ptr.raw(), v.InnerChildFence(i),
+                                      /*route=*/false)};
+    }
     ptr = child;
   }
-  return rdma::RemotePtr::Null();
+  return none;
 }
 
 sim::Task<DescentResult> TraversalEngine::DescendToLeaf(
@@ -561,6 +555,24 @@ sim::Task<DescentResult> TraversalEngine::ResolveLeaf(nam::ClientContext& ctx,
                ctx.fabric().simulator().now());
   }
   co_return result;
+}
+
+DescentResult TraversalEngine::PredictRoute(uint32_t client_id, Key key,
+                                            SimTime now) const {
+  DescentResult result{Status::OK(), rdma::RemotePtr::Null(), {}};
+  if (opts_.cache_mode != CacheMode::kLeafRoutes ||
+      client_id >= caches_.size() || caches_[client_id] == nullptr) {
+    return result;
+  }
+  NodeCache* cache = caches_[client_id].get();
+  bool expired = false;
+  const uint8_t* image = cache->Peek(key, now, &expired);
+  if (image == nullptr || expired) return result;
+  uint64_t raw;
+  std::memcpy(&raw, image, 8);
+  result.leaf = rdma::RemotePtr(raw);
+  result.fence = FenceCheck(cache, key, 0, /*route=*/true);
+  return result;
 }
 
 void TraversalEngine::SeedRoute(nam::ClientContext& ctx, Key key,

@@ -7,6 +7,7 @@
 
 #include "btree/page.h"
 #include "common/status.h"
+#include "index/fence_check.h"
 #include "index/node_cache.h"
 #include "index/remote_ops.h"
 #include "nam/cluster.h"
@@ -14,39 +15,6 @@
 #include "sim/task.h"
 
 namespace namtree::index {
-
-/// Fence validation of the client cache (docs/traversal.md, "Fence
-/// validation"): what a cached entry promised about the page a descent
-/// reached through it, checked against the first image of that page read
-/// remotely. A cached inner image promises the high fence of the child it
-/// routed to (PageView::InnerChildFence). A cached leaf route promises that
-/// its leaf still covers the key under the inner (inclusive) fence
-/// contract: a key equal to the leaf's high fence is a tie that a fresh
-/// resolution routes to the same leaf, so only a key above the fence is
-/// evidence. A broken promise drops the entry (NodeCache::Invalidate); the
-/// next descent misses and re-reads it. Default-constructed, nothing is
-/// promised and Check is a no-op: the state of every cacheless descent.
-class FenceCheck {
- public:
-  FenceCheck() = default;
-
-  /// Checks `view`, the first remote image of the promised page, and
-  /// disarms: later calls (chases, re-reads after a lost lock) are no-ops.
-  /// Drained leaves are skipped: epoch rebalancing leaves them in place as
-  /// forwarding stubs that parents keep naming, with a zero high fence.
-  void Check(const btree::PageView& view);
-
- private:
-  friend class TraversalEngine;
-
-  FenceCheck(NodeCache* cache, uint64_t entry, btree::Key fence, bool route)
-      : cache_(cache), entry_(entry), fence_(fence), route_(route) {}
-
-  NodeCache* cache_ = nullptr;  ///< null: nothing promised
-  uint64_t entry_ = 0;          ///< the promising entry's cache key
-  btree::Key fence_ = 0;        ///< promised high fence (inner images)
-  bool route_ = false;          ///< entry_ is a leaf route's lookup key
-};
 
 /// Outcome of resolving a starting leaf for a key. OK carries a candidate
 /// leaf pointer (leaf-chain chases are still the caller's job, via the
@@ -195,11 +163,13 @@ class TraversalEngine {
 
   /// Locally predicts the leaf for `key` from this client's cached inner
   /// images alone — Peek only: no verbs, no LRU touch, no stat skew.
-  /// Null when the cache cannot resolve a complete path. Stale predictions
-  /// are safe for grouping (MultiGet): they can only name a leaf too far
-  /// left, and the chain chase recovers.
-  rdma::RemotePtr PredictLeaf(uint32_t client_id, uint32_t tree,
-                              btree::Key key, SimTime now) const;
+  /// The leaf is null when the cache cannot resolve a complete path;
+  /// otherwise `fence` carries the promise of the cached level-1 image that
+  /// named it. Stale predictions are safe for grouping (MultiGet): they can
+  /// only name a leaf too far left, the chain chase recovers, and the
+  /// fence check drops the stale image.
+  DescentResult PredictLeaf(uint32_t client_id, uint32_t tree,
+                            btree::Key key, SimTime now) const;
 
   /// Installs separator `sep` / right child `right` at inner `level` of
   /// tree `tree` after a split of `left`, growing the root through the
@@ -223,6 +193,12 @@ class TraversalEngine {
   sim::Task<DescentResult> ResolveLeaf(nam::ClientContext& ctx,
                                        LeafResolver& resolver,
                                        btree::Key key);
+
+  /// The route-cache counterpart of PredictLeaf: this client's unexpired
+  /// cached route for `key` (null leaf when there is none) with its
+  /// promise armed — Peek only, like PredictLeaf.
+  DescentResult PredictRoute(uint32_t client_id, btree::Key key,
+                             SimTime now) const;
 
   /// Seeds the route cache after a leaf split this client performed: keys
   /// at or above the separator now live in `right`.

@@ -162,6 +162,12 @@ Task<> InsertInto(DistributedIndex& index, ClientContext& ctx, Key key,
   *out = co_await index.Insert(ctx, key, key);
 }
 
+Task<> MultiGetInto(DistributedIndex& index, ClientContext& ctx,
+                    std::vector<Key> keys, std::vector<LookupResult>* out) {
+  out->resize(keys.size());
+  co_await index.MultiGet(ctx, keys, out->data());
+}
+
 /// Runs one lookup to completion; returns its round trips.
 uint64_t Lookup(Deployment& d, ClientContext& ctx, Key key) {
   const uint64_t before = ctx.round_trips;
@@ -170,6 +176,21 @@ uint64_t Lookup(Deployment& d, ClientContext& ctx, Key key) {
   d.cluster->simulator().Run();
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.found, key % 4 == 0 && key < 4 * kKeys) << "key " << key;
+  return ctx.round_trips - before;
+}
+
+/// Runs one MultiGet of present keys to completion; returns its round
+/// trips.
+uint64_t MultiGet(Deployment& d, ClientContext& ctx,
+                  const std::vector<Key>& keys) {
+  const uint64_t before = ctx.round_trips;
+  std::vector<LookupResult> results;
+  Spawn(d.cluster->simulator(), MultiGetInto(*d.index, ctx, keys, &results));
+  d.cluster->simulator().Run();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(results[i].status.ok()) << results[i].status.ToString();
+    EXPECT_TRUE(results[i].found) << "key " << keys[i];
+  }
   return ctx.round_trips - before;
 }
 
@@ -194,7 +215,7 @@ TEST(FenceValidationTest, CacheEntriesNeverExpireByDefault) {
   EXPECT_EQ(IndexConfig().client_cache_ttl, 0u);
 }
 
-// ---- Tie guard ---------------------------------------------------------------
+// ---- Tie guard -------------------------------------------------------------
 
 class FenceTieTest
     : public testing::TestWithParam<std::tuple<Design, bool>> {};
@@ -255,7 +276,7 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "_Speculative" : "");
     });
 
-// ---- Split detection -----------------------------------------------------------
+// ---- Split detection -------------------------------------------------------
 
 class FenceSplitTest : public testing::TestWithParam<Design> {};
 
@@ -316,6 +337,76 @@ TEST_P(FenceSplitTest, LeafSplitDropsExactlyTheStaleEntry) {
   const TraversalEngine::CacheStats s3 = d.Stats();
   EXPECT_EQ(s3.misses, s2.misses);
   EXPECT_EQ(s3.fence_invalidations, s2.fence_invalidations);
+}
+
+TEST_P(FenceSplitTest, MultiGetAfterSplitDropsTheStaleEntry) {
+  const Design design = GetParam();
+  Deployment d = Deploy(design);
+  ClientContext reader(0, d.cluster->fabric(), kPageSize, 1);
+  ClientContext writer(1, d.cluster->fabric(), kPageSize, 2);
+  Warm(d, reader);
+
+  const rdma::RemotePtr chain = d.Chains()[0];
+  const std::vector<LeafInfo> leaves = WalkChain(d, chain);
+  const LeafInfo victim = leaves[5];
+  Insert(d, writer, victim.first + 1);
+  Insert(d, writer, victim.first + 2);
+  ASSERT_EQ(WalkChain(d, chain).size(), leaves.size() + 1);
+  // The victim's bulk-loaded keys, which now straddle the split; the
+  // reader's cache still predicts all of them into the left half. (Its
+  // first key, a tie, is predicted into the left neighbour.)
+  std::vector<Key> keys;
+  for (Key key = victim.first + 4; key <= victim.last; key += 4) {
+    keys.push_back(key);
+  }
+
+  NodeCache* cache = d.Cache(0);
+  const std::set<uint64_t> entries = LruSet(cache);
+  const TraversalEngine::CacheStats s0 = d.Stats();
+
+  // 1: one group walk from the stale prediction: the left half's fence
+  //    disagrees, the walk chases into the right half, and the entry that
+  //    predicted the group is dropped.
+  EXPECT_EQ(MultiGet(d, reader, keys), 2u);
+  const TraversalEngine::CacheStats s1 = d.Stats();
+  EXPECT_EQ(s1.fence_invalidations - s0.fence_invalidations, 1u);
+  std::set<uint64_t> dropped;
+  const std::set<uint64_t> remaining = LruSet(cache);
+  std::set_difference(entries.begin(), entries.end(), remaining.begin(),
+                      remaining.end(), std::inserter(dropped, dropped.end()));
+  ASSERT_EQ(dropped.size(), 1u);
+  if (design == Design::kHybrid) {
+    EXPECT_EQ(*dropped.begin(), keys.back()) << "the group's largest key";
+  } else {
+    PageView parent(d.Page(rdma::RemotePtr(*dropped.begin())), kPageSize);
+    EXPECT_EQ(parent.level(), 1u);
+  }
+
+  // 2: the stale state drains: each call drops at most one more entry
+  //    (the hybrid holds one stale route per right-half key, and a group
+  //    checks only its largest key's), and once a call drops nothing, the
+  //    next one reads each half once, plus one chase for the tie: the
+  //    right half's first key equals the new separator, so it is predicted
+  //    into the left half's group.
+  size_t calls = 0;
+  for (uint64_t last = s1.fence_invalidations;; ++calls) {
+    ASSERT_LT(calls, keys.size()) << "stale entries never drained";
+    (void)MultiGet(d, reader, keys);
+    const uint64_t now = d.Stats().fence_invalidations;
+    EXPECT_LE(now - last, 1u);
+    if (now == last) break;
+    last = now;
+  }
+  const Key separator = PageView(d.Page(victim.ptr), kPageSize).high_key();
+  const size_t stale_routes = static_cast<size_t>(
+      std::count_if(keys.begin(), keys.end(),
+                    [separator](Key key) { return key > separator; }));
+  EXPECT_EQ(calls, design == Design::kHybrid ? stale_routes - 1 : 0u);
+  const TraversalEngine::CacheStats s2 = d.Stats();
+  EXPECT_EQ(MultiGet(d, reader, keys), 3u);
+  const TraversalEngine::CacheStats s3 = d.Stats();
+  EXPECT_EQ(s3.fence_invalidations, s2.fence_invalidations);
+  EXPECT_EQ(s3.misses, s2.misses);
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, FenceSplitTest,

@@ -432,7 +432,7 @@ TEST(FlakyPartitionTest, PartitionedLinkTimesOutThenHeals) {
 Task<> ScanWithStatus(RemoteOps ops, rdma::RemotePtr first, uint64_t* count,
                       Status* status) {
   *count = co_await LeafLevel::ScanChain(ops, first, 0, btree::kInfinityKey,
-                                         nullptr, status);
+                                         nullptr, status, {});
 }
 
 struct ChainRig {

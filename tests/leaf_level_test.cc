@@ -90,7 +90,7 @@ TEST(LeafLevelTest, HeadNodesAppearEveryInterval) {
 Task<> SearchKeys(RemoteOps ops, rdma::RemotePtr start,
                   std::vector<Key> keys, std::vector<LookupResult>* out) {
   for (Key k : keys) {
-    out->push_back(co_await LeafLevel::SearchChain(ops, start, k));
+    out->push_back(co_await LeafLevel::SearchChain(ops, start, k, nullptr, {}));
   }
 }
 
@@ -130,7 +130,8 @@ TEST(LeafLevelTest, InsertSplitReportsSeparator) {
       for (int i = 0; i < n; ++i) {
         LeafLevel::SplitInfo split;
         const Status s = co_await LeafLevel::InsertAt(
-            ops, start, static_cast<Key>(i * 2 + 1), 1000 + i, &split);
+            ops, start, static_cast<Key>(i * 2 + 1), 1000 + i, &split,
+            /*alloc_server=*/-1, {});
         EXPECT_TRUE(s.ok());
         if (split.split) {
           EXPECT_FALSE(split.right.is_null());
@@ -168,7 +169,8 @@ TEST(LeafLevelTest, ScanUsesBatchedPrefetch) {
   struct Driver {
     static Task<> Go(RemoteOps ops, rdma::RemotePtr start,
                      std::vector<KV>* out, uint64_t* n) {
-      *n = co_await LeafLevel::ScanChain(ops, start, 100, 3900, out);
+      *n = co_await LeafLevel::ScanChain(ops, start, 100, 3900, out, nullptr,
+                                         {});
     }
   };
   std::vector<KV> out;
@@ -198,9 +200,10 @@ TEST(LeafLevelTest, CompactChainReclaimsTombstones) {
                      uint64_t* reclaimed) {
       for (Key k = 0; k < 300; k += 3) {
         EXPECT_TRUE(
-            (co_await LeafLevel::DeleteAt(ops, first, k * 2)).ok());
+            (co_await LeafLevel::DeleteAt(ops, first, k * 2, {})).ok());
       }
-      EXPECT_TRUE((co_await LeafLevel::DeleteAt(ops, first, 1)).IsNotFound());
+      EXPECT_TRUE(
+          (co_await LeafLevel::DeleteAt(ops, first, 1, {})).IsNotFound());
       *reclaimed = co_await LeafLevel::CompactChain(ops, first);
     }
   };
@@ -239,7 +242,7 @@ TEST(LeafLevelTest, RebuildHeadNodesBypassesStaleHeads) {
       for (Key k = 0; k < 500; ++k) {
         LeafLevel::SplitInfo split;
         (void)co_await LeafLevel::InsertAt(ops, first, k * 2 + 1, k,
-                                           &split);
+                                           &split, /*alloc_server=*/-1, {});
       }
       (void)co_await LeafLevel::RebuildHeadNodes(ops, first, 4);
     }
@@ -252,7 +255,8 @@ TEST(LeafLevelTest, RebuildHeadNodesBypassesStaleHeads) {
   ClientContext ctx2(1, cluster.fabric(), kPage, 2);
   struct Driver {
     static Task<> Go(RemoteOps ops, rdma::RemotePtr start, uint64_t* n) {
-      *n = co_await LeafLevel::ScanChain(ops, start, 0, 1000000, nullptr);
+      *n = co_await LeafLevel::ScanChain(ops, start, 0, 1000000, nullptr,
+                                         nullptr, {});
     }
   };
   uint64_t n = 0;
