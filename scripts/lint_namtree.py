@@ -19,10 +19,8 @@ to this repo's simulated-RDMA coroutine architecture, so this script scans
    `std::mutex` / `std::condition_variable` / `std::thread` / `sleep_for`
    block a *real* OS thread. Inside the discrete-event simulator one
    blocked thread deadlocks the entire virtual world, so everything under
-   src/ must use the sim primitives (sim::Semaphore, sim::Gate, ...) —
-   except src/btree, which deliberately hosts the real-thread
-   shared-nothing baseline (paper §7).
-   Suppress with: // namtree-lint: real-threads-ok(<why>)
+   src/ must use the sim primitives (sim::Semaphore, sim::Gate, ...).
+   There is no suppression: nothing under src/ runs on real threads.
 
 3. task-not-coroutine (error)
    A function returning `sim::Task` whose body contains no co_await /
@@ -118,11 +116,8 @@ import re
 import sys
 
 SUPPRESS_RE = re.compile(
-    r"namtree-lint:\s*(safe-coro-ref|real-threads-ok|bounded-loop|"
+    r"namtree-lint:\s*(safe-coro-ref|bounded-loop|"
     r"unchained-ok|chase-ok|status-ok|metric-ok|retry-ok)\(")
-
-# Directories (relative to src/) allowed to use real-thread primitives.
-REAL_THREAD_ALLOWED = {"btree"}
 
 # Files allowed to spell out fence/sibling chase decisions inline: the
 # shared traversal engine owns the descend/chase state machine, and the
@@ -372,7 +367,6 @@ def lint_tree(src_root, verbose):
         raw_lines = raw.splitlines()
         clean = strip_comments_and_strings(raw)
         rel = os.path.relpath(path, os.path.dirname(src_root))
-        subdir = os.path.relpath(path, src_root).split(os.sep)[0]
         scanned.append((rel, raw_lines, clean))
 
         # Status-returning function names (for rule discarded-status).
@@ -382,16 +376,11 @@ def lint_tree(src_root, verbose):
             void_fns.add(m.group("name").split("::")[-1])
 
         # Rule: blocking-primitive.
-        if subdir not in REAL_THREAD_ALLOWED:
-            for m in BLOCKING_RE.finditer(clean):
-                line = line_of(clean, m.start())
-                if is_suppressed(raw_lines, line):
-                    continue
-                findings.append(Finding(
-                    "blocking-primitive", rel, line,
-                    f"'{m.group(0)}' blocks a real OS thread inside the "
-                    "virtual-time simulator; use the sim:: primitives "
-                    "(or move the code to src/btree)"))
+        for m in BLOCKING_RE.finditer(clean):
+            findings.append(Finding(
+                "blocking-primitive", rel, line_of(clean, m.start()),
+                f"'{m.group(0)}' blocks a real OS thread inside the "
+                "virtual-time simulator; use the sim:: primitives"))
 
         # Task definitions (for rules spawn-unsafe-params /
         # task-not-coroutine and the advisory note).

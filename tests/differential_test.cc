@@ -1,9 +1,9 @@
 // Differential testing: a single client replays the same random operation
 // sequence (inserts, deletes, updates, lookups, scans, periodic GC) against
-// every index-design instance — the NAM designs in the simulator plus the
-// §7 shared-nothing baseline on real threads — and a std::multimap
-// reference; every query result must match the model exactly, and the
-// final full scans of all designs must be identical.
+// every NAM index-design instance in the simulator (CG range and hash,
+// FG, hybrid, CG1S range and hash) and a std::multimap reference; every
+// query result must match the model exactly, and the final full scans of
+// all designs must be identical.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "btree/shared_nothing.h"
 #include "index/coarse_grained.h"
 #include "index/coarse_one_sided.h"
 #include "index/fine_grained.h"
@@ -137,76 +136,6 @@ Task<> Replay(DistributedIndex& index, ClientContext& ctx,
   (void)co_await index.Scan(ctx, 0, btree::kInfinityKey, final_scan);
 }
 
-/// Synchronous mirror of Replay for the shared-nothing baseline, whose
-/// client API is blocking (real threads, no simulator). Same trace, same
-/// model checks, same final full scan.
-void ReplaySharedNothing(btree::SharedNothingCluster& cluster,
-                         const std::vector<Op>& trace,
-                         std::vector<KV>* final_scan) {
-  std::multimap<Key, Value> model;
-  for (const Op& op : trace) {
-    switch (op.kind) {
-      case Op::kInsert: {
-        EXPECT_TRUE(cluster.Insert(op.key, op.value).ok());
-        model.emplace(op.key, op.value);
-        break;
-      }
-      case Op::kDelete: {
-        const bool deleted = cluster.Delete(op.key).ok();
-        auto it = model.lower_bound(op.key);
-        const bool exists = it != model.end() && it->first == op.key;
-        EXPECT_EQ(deleted, exists) << "sn delete(" << op.key << ")";
-        if (exists) model.erase(it);
-        break;
-      }
-      case Op::kLookup: {
-        const auto r = cluster.Lookup(op.key);
-        EXPECT_EQ(r.ok(), model.count(op.key) > 0)
-            << "sn lookup(" << op.key << ")";
-        if (r.ok()) {
-          bool matches = false;
-          for (auto [it, end] = model.equal_range(op.key); it != end; ++it) {
-            matches |= (it->second == r.value());
-          }
-          EXPECT_TRUE(matches) << "sn lookup(" << op.key << ") stale value";
-        }
-        break;
-      }
-      case Op::kScan: {
-        std::vector<KV> out;
-        const uint64_t n = cluster.Scan(op.key, op.hi, &out);
-        const uint64_t expected =
-            std::distance(model.lower_bound(op.key), model.lower_bound(op.hi));
-        EXPECT_EQ(n, expected)
-            << "sn scan[" << op.key << "," << op.hi << ")";
-        break;
-      }
-      case Op::kGc: {
-        (void)cluster.GarbageCollect();
-        break;
-      }
-      case Op::kUpdate: {
-        const bool updated = cluster.Update(op.key, op.value).ok();
-        auto it = model.lower_bound(op.key);
-        const bool exists = it != model.end() && it->first == op.key;
-        EXPECT_EQ(updated, exists) << "sn update(" << op.key << ")";
-        if (exists) it->second = op.value;
-        break;
-      }
-      case Op::kLookupAll: {
-        // The shared-nothing client API has no LookupAll; a scan of the
-        // one-key range [key, key+1) is its moral equivalent.
-        std::vector<KV> values;
-        const uint64_t n = cluster.Scan(op.key, op.key + 1, &values);
-        EXPECT_EQ(n, model.count(op.key))
-            << "sn lookup_all(" << op.key << ")";
-        break;
-      }
-    }
-  }
-  (void)cluster.Scan(0, btree::kInfinityKey, final_scan);
-}
-
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
@@ -277,22 +206,7 @@ TEST_P(DifferentialTest, AllDesignsMatchTheModel) {
     final_scans.push_back(std::move(final_scan));
   }
 
-  // The shared-nothing baseline (real threads, same B-link page substrate)
-  // replays the identical trace through its blocking client API.
-  {
-    btree::SharedNothingCluster sn(/*nodes=*/4, /*workers_per_node=*/2,
-                                   /*page_size=*/256);
-    ASSERT_TRUE(sn.BulkLoad(data).ok());
-    for (const KV& kv : data) {
-      EXPECT_TRUE(sn.Delete(kv.key).ok());
-    }
-    (void)sn.GarbageCollect();
-    std::vector<KV> final_scan;
-    ReplaySharedNothing(sn, trace, &final_scan);
-    final_scans.push_back(std::move(final_scan));
-  }
-
-  // All seven design instances end in the same logical state.
+  // All six design instances end in the same logical state.
   for (size_t d = 1; d < final_scans.size(); ++d) {
     ASSERT_EQ(final_scans[d].size(), final_scans[0].size()) << "design " << d;
     for (size_t i = 0; i < final_scans[0].size(); ++i) {

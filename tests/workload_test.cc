@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "index/coarse_grained.h"
+#include "index/coarse_one_sided.h"
 #include "index/fine_grained.h"
+#include "index/hybrid.h"
 #include "index/partition.h"
 #include "nam/cluster.h"
 #include "ycsb/runner.h"
@@ -230,6 +236,72 @@ TEST(RunnerTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.ops(), b.ops());
   EXPECT_EQ(a.server_bytes, b.server_bytes);
   EXPECT_EQ(a.round_trips(), b.round_trips());
+}
+
+// Cells (one cluster, one index, one run) share no state, so independent
+// cells may run on separate host threads and each must reproduce its serial
+// result exactly. This is the only test that starts threads, so it is what
+// the TSan build checks. sim::FramePool keeps thread_local free lists that
+// sanitizer builds compile out (src/sim/task.h); the plain build's run of
+// this test is the one that puts the pool under several threads.
+TEST(RunnerTest, IndependentCellsMatchAcrossThreads) {
+  struct Cell {
+    uint64_t ops = 0;
+    uint64_t server_bytes = 0;
+    uint64_t round_trips = 0;
+    double p99 = 0;
+  };
+  auto run = [](int design) {
+    rdma::FabricConfig fc;
+    fc.num_memory_servers = 2;
+    nam::Cluster cluster(fc, 64ull << 20);
+    index::IndexConfig ic;
+    std::unique_ptr<index::DistributedIndex> index;
+    switch (design) {
+      case 0:
+        index = std::make_unique<index::CoarseGrainedIndex>(cluster, ic);
+        break;
+      case 1:
+        index = std::make_unique<index::CoarseOneSidedIndex>(cluster, ic);
+        break;
+      case 2:
+        index = std::make_unique<index::FineGrainedIndex>(cluster, ic);
+        break;
+      default:
+        index = std::make_unique<index::HybridIndex>(cluster, ic);
+        break;
+    }
+    const uint64_t keys = 10000;
+    EXPECT_TRUE(index->BulkLoad(GenerateDataset(keys)).ok());
+    RunConfig rc;
+    rc.num_clients = 4;
+    rc.warmup = kMillisecond;
+    rc.duration = 5 * kMillisecond;
+    rc.mix = WorkloadD();
+    const RunResult r = RunWorkload(cluster, *index, keys, rc);
+    return Cell{r.ops(), r.server_bytes, r.round_trips(),
+                r.latency.Quantile(0.99)};
+  };
+  constexpr int kDesigns = 4;
+  std::array<Cell, kDesigns> serial;
+  for (int d = 0; d < kDesigns; ++d) serial[d] = run(d);
+
+  std::array<Cell, kDesigns> threaded;
+  std::vector<std::thread> threads;
+  for (int d = 0; d < kDesigns; ++d) {
+    threads.emplace_back([&run, &threaded, d] { threaded[d] = run(d); });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int d = 0; d < kDesigns; ++d) {
+    EXPECT_GT(serial[d].ops, 0u) << "design " << d;
+    EXPECT_EQ(threaded[d].ops, serial[d].ops) << "design " << d;
+    EXPECT_EQ(threaded[d].server_bytes, serial[d].server_bytes)
+        << "design " << d;
+    EXPECT_EQ(threaded[d].round_trips, serial[d].round_trips)
+        << "design " << d;
+    EXPECT_EQ(threaded[d].p99, serial[d].p99) << "design " << d;
+  }
 }
 
 TEST(RunnerTest, OpTracingRecordsOutliersWithoutPerturbingTheRun) {
