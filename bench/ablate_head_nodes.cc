@@ -2,8 +2,13 @@
 // throughput and per-query round trips as a function of the head-node
 // interval (0 = disabled), plus the staleness penalty after splits and the
 // recovery after an epoch rebuild.
+//
+// `--json <path>` writes the machine-readable report CI reruns against the
+// committed BENCH_head_nodes.json: every cell drives head-node batch READs,
+// and the staleness cells add leaf splits and an epoch head rebuild.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 #include "index/fine_grained.h"
@@ -11,6 +16,7 @@
 
 using namtree::bench::DesignKind;
 using namtree::bench::ExperimentConfig;
+using namtree::bench::JsonReport;
 using namtree::bench::Num;
 using namtree::bench::PrintRow;
 
@@ -26,6 +32,25 @@ namtree::ycsb::RunResult RunScan(namtree::bench::Experiment& exp,
   return exp.Run(run);
 }
 
+double RoundTripsPerOp(const namtree::ycsb::RunResult& result) {
+  return static_cast<double>(result.round_trips()) /
+         std::max<uint64_t>(1, result.ops());
+}
+
+/// Prints one TSV row and records the same cell under `cell` in `report`.
+void Report(JsonReport& report, const std::string& cell,
+            const std::string& label,
+            const namtree::ycsb::RunResult& result) {
+  PrintRow({label, Num(result.ops_per_sec), Num(RoundTripsPerOp(result))});
+  report.Set(cell + ".ops_per_s", result.ops_per_sec);
+  report.Set(cell + ".round_trips_per_op", RoundTripsPerOp(result));
+  report.Set(cell + ".ops", result.ops());
+  report.Set(cell + ".failed_ops", result.failed_ops());
+  report.Set(cell + ".doorbells", result.counters.Value("fabric.doorbells"));
+  report.Set(cell + ".unsignaled_verbs",
+             result.counters.Value("fabric.unsignaled_verbs"));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -36,6 +61,10 @@ int main(int argc, char** argv) {
       "Ablation: head nodes", "Fine-grained range scans (sel=0.01)",
       Num(static_cast<double>(keys)) + " keys, 80 clients");
   PrintRow({"head_interval", "lookups_per_s", "round_trips_per_op"});
+  JsonReport report;
+  report.Set("bench", std::string("ablate_head_nodes"));
+  report.Set("config.keys", keys);
+  report.Set("config.clients", static_cast<uint64_t>(80));
 
   for (uint32_t interval : {0u, 4u, 8u, 16u, 32u, 64u}) {
     ExperimentConfig config;
@@ -43,10 +72,8 @@ int main(int argc, char** argv) {
     config.num_keys = keys;
     config.head_node_interval = interval;
     auto exp = namtree::bench::MakeExperiment(config);
-    const auto result = RunScan(exp, keys);
-    PrintRow({Num(interval), Num(result.ops_per_sec),
-              Num(static_cast<double>(result.round_trips()) /
-                  std::max<uint64_t>(1, result.ops()))});
+    Report(report, "interval_" + std::to_string(interval), Num(interval),
+           RunScan(exp, keys));
   }
 
   // Staleness: splits invalidate head groupings; the epoch rebuild restores
@@ -60,10 +87,7 @@ int main(int argc, char** argv) {
     config.head_node_interval = 16;
     auto exp = namtree::bench::MakeExperiment(config);
 
-    const auto fresh = RunScan(exp, keys);
-    PrintRow({"fresh", Num(fresh.ops_per_sec),
-              Num(static_cast<double>(fresh.round_trips()) /
-                  std::max<uint64_t>(1, fresh.ops()))});
+    Report(report, "staleness.fresh", "fresh", RunScan(exp, keys));
 
     // Insert burst (workload D) to split many leaves.
     namtree::ycsb::RunConfig churn;
@@ -73,10 +97,8 @@ int main(int argc, char** argv) {
     churn.warmup = namtree::kMillisecond;
     (void)exp.Run(churn);
 
-    const auto stale = RunScan(exp, keys);
-    PrintRow({"after_inserts", Num(stale.ops_per_sec),
-              Num(static_cast<double>(stale.round_trips()) /
-                  std::max<uint64_t>(1, stale.ops()))});
+    Report(report, "staleness.after_inserts", "after_inserts",
+           RunScan(exp, keys));
 
     // One GC pass (compaction + head rebuild) from a compute client.
     namtree::ycsb::RunConfig gc;
@@ -87,10 +109,9 @@ int main(int argc, char** argv) {
     gc.gc_interval = 5 * namtree::kMillisecond;
     (void)exp.Run(gc);
 
-    const auto rebuilt = RunScan(exp, keys);
-    PrintRow({"after_rebuild", Num(rebuilt.ops_per_sec),
-              Num(static_cast<double>(rebuilt.round_trips()) /
-                  std::max<uint64_t>(1, rebuilt.ops()))});
+    Report(report, "staleness.after_rebuild", "after_rebuild",
+           RunScan(exp, keys));
   }
+  if (!namtree::bench::MaybeWriteJson(args, report)) return 1;
   return 0;
 }
