@@ -49,6 +49,13 @@ void Report(JsonReport& report, const std::string& cell,
   report.Set(cell + ".doorbells", result.counters.Value("fabric.doorbells"));
   report.Set(cell + ".unsignaled_verbs",
              result.counters.Value("fabric.unsignaled_verbs"));
+  // Head-node images read in place vs copied out by a write landing first.
+  report.Set(cell + ".inplace_served",
+             result.counters.Value("fabric.inplace_images", "outcome",
+                                   "served"));
+  report.Set(cell + ".inplace_copied",
+             result.counters.Value("fabric.inplace_images", "outcome",
+                                   "copied"));
 }
 
 }  // namespace

@@ -222,8 +222,7 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
   // and this cursor makes collection exactly-once (see RebalanceChain).
   Key cursor = lo;
 
-  // Scratch space for prefetched leaves (sized on first head encounter).
-  std::vector<uint8_t> prefetch_buf;
+  nam::ScanBatch& batch = ops.ctx().scan_batch();
 
   // namtree-lint: bounded-loop(chain-chase: every step moves right along ascending fences and stops at the first fence >= hi or the rightmost page; read failures exit)
   for (;;) {
@@ -248,48 +247,50 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
     }
 
     // Head node: prefetch the following leaves with one selectively
-    // signaled batch (§4.3), then consume the images.
+    // signaled batch (§4.3), then consume the images in place.
     const uint32_t n = view.count();
     if (n == 0) {
       ptr = rdma::RemotePtr(view.right_sibling());
       if (ptr.is_null()) co_return found;
       continue;
     }
-    std::vector<uint64_t> targets(view.head_ptrs(), view.head_ptrs() + n);
-    prefetch_buf.resize(static_cast<size_t>(n) * page_size);
-    std::vector<rdma::Fabric::ReadRequest> reqs;
-    reqs.reserve(n);
+    // Every way out of this batch releases all of its images.
+    const nam::ScanBatch::Lease lease = batch.Begin(n);
     for (uint32_t k = 0; k < n; ++k) {
-      reqs.push_back({rdma::RemotePtr(targets[k]),
-                      prefetch_buf.data() + static_cast<size_t>(k) * page_size,
-                      page_size});
+      batch.reads()[k] = rdma::Fabric::ChainOp::Read(
+          rdma::RemotePtr(view.head_ptrs()[k]), batch.page(k), page_size,
+          &batch.image(k));
     }
-    const Status batch = co_await ops.ReadPagesBatch(std::move(reqs));
-    if (!batch.ok()) {
-      if (status != nullptr) *status = batch;
+    const Status prefetched = co_await ops.ReadPagesBatch(batch.reads());
+    if (!prefetched.ok()) {
+      if (status != nullptr) *status = prefetched;
       co_return found;  // batch dropped; images unspecified
     }
 
     bool resumed_chain = false;
     for (uint32_t k = 0; k < n; ++k) {
-      uint8_t* image = prefetch_buf.data() + static_cast<size_t>(k) * page_size;
-      PageView leaf(image, page_size);
-      if (!ops.fabric().ServerAlive(rdma::RemotePtr(targets[k]).server_id()) ||
-          IsLocked(leaf.version_word())) {
-        // The prefetched image was mid-write, or its batch member was
-        // dropped by a dead target server and the buffer slot holds stale
-        // bytes from an earlier batch: fall back to a fresh spin-read,
-        // which fails over to a live replica under replication.
+      const rdma::RemotePtr target = batch.reads()[k].target;
+      const uint8_t* image = batch.image(k).data();
+      if (image == nullptr || !ops.fabric().ServerAlive(target.server_id()) ||
+          IsLocked(PageView(const_cast<uint8_t*>(image), page_size)
+                       .version_word())) {
+        // The image was mid-write, or its member was dropped by a dead
+        // target server and holds nothing current: release it and fall
+        // back to a fresh spin-read into the member's own page slot, which
+        // fails over to a live replica under replication.
+        ops.fabric().ReleaseImages({&batch.image(k), 1});
         const PageReadResult reread =
-            co_await ops.ReadPageUnlocked(rdma::RemotePtr(targets[k]), image);
+            co_await ops.ReadPageUnlocked(target, batch.page(k));
         if (!reread.ok()) {
           if (status != nullptr) *status = reread.status;
           co_return found;
         }
-        leaf = PageView(image, page_size);
+        image = batch.page(k);
       }
+      // Read-only view: a pinned image is the remote page itself.
+      const PageView leaf(const_cast<uint8_t*>(image), page_size);
       if (leaf.is_head()) {  // stale pointer now naming a head: re-walk
-        ptr = rdma::RemotePtr(targets[k]);
+        ptr = target;
         resumed_chain = true;
         break;
       }
@@ -299,8 +300,9 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
       }
       if (leaf.right_sibling() == 0) co_return found;
       if (leaf.high_key() >= hi) co_return found;
-      const uint64_t expected_next =
-          (k + 1 < n) ? targets[k + 1] : leaf.right_sibling();
+      const uint64_t expected_next = k + 1 < n
+                                         ? batch.reads()[k + 1].target.raw()
+                                         : leaf.right_sibling();
       if (leaf.right_sibling() != expected_next) {
         // Outdated head (a split added a leaf): abandon the remaining
         // prefetched images and follow the chain directly — one extra

@@ -80,12 +80,13 @@ class LeafLevel {
                                             FenceCheck fence);
 
   /// Range scan over [lo, hi) starting at the leaf covering `lo`. Uses
-  /// head-node prefetch via selectively-signaled batched reads; outdated
-  /// head nodes fall back to single reads (§4.3). Appends to `out` if
-  /// non-null; returns the hit count. `status`, when non-null, receives OK
-  /// on a complete pass or the failing read's status (kUnavailable for a
-  /// dead client/server, kTimedOut for an exhausted flaky-net retry
-  /// budget) when the count is partial.
+  /// head-node prefetch via selectively-signaled batched reads whose images
+  /// stay in place (rdma::InPlaceImage; storage in the client's
+  /// ScanBatch); outdated head nodes fall back to single reads (§4.3).
+  /// Appends to `out` if non-null; returns the hit count. `status`, when
+  /// non-null, receives OK on a complete pass or the failing read's status
+  /// (kUnavailable for a dead client/server, kTimedOut for an exhausted
+  /// flaky-net retry budget) when the count is partial.
   static sim::Task<uint64_t> ScanChain(RemoteOps ops, rdma::RemotePtr start,
                                        btree::Key lo, btree::Key hi,
                                        std::vector<btree::KV>* out,

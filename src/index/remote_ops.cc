@@ -152,31 +152,28 @@ sim::Task<Status> RemoteOps::WriteRaw(rdma::RemotePtr at, const void* src,
 }
 
 sim::Task<Status> RemoteOps::ReadPagesBatch(
-    std::vector<rdma::Fabric::ReadRequest> requests) {
+    std::span<rdma::Fabric::ChainOp> reads) {
   const rdma::RetryPolicy policy = VerbPolicy();
   // One event per batch slot, all under one chain id: the whole batch rides
   // one doorbell, so the slots share start/finish but keep per-server
   // attribution.
   const uint64_t chain = ctx_->trace().NextChainId();
-  std::vector<uint32_t> servers;
-  if (ctx_->trace().in_span()) {
-    servers.reserve(requests.size());
-    for (const rdma::Fabric::ReadRequest& r : requests) {
-      servers.push_back(r.src.server_id());
-    }
-  }
   // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
   for (uint32_t attempt = 0;; ++attempt) {
     ctx_->round_trips.Inc();
     const SimTime t0 = TraceStart();
     const rdma::VerbCompletion done =
-        co_await fabric().ReadBatch(ctx_->client_id(), requests);
-    for (const uint32_t server : servers) {
-      TraceVerbEvent(metrics::TraceVerb::kReadBatch, server, chain, t0);
+        co_await fabric().ReadBatch(ctx_->client_id(), reads);
+    if (ctx_->trace().in_span()) {
+      for (const rdma::Fabric::ChainOp& op : reads) {
+        TraceVerbEvent(metrics::TraceVerb::kReadBatch, op.target.server_id(),
+                       chain, t0);
+      }
     }
     if (!alive()) co_return Status::Unavailable("client crashed");
     if (done == rdma::VerbCompletion::kOk) co_return Status::OK();
-    // A READ-only chain has no remote effect: re-post it wholesale.
+    // A READ-only chain has no remote effect: re-post it wholesale (its
+    // in-place members re-pin at their new effects).
     // namtree-lint: retry-ok(READ batch is idempotent)
     if (policy.Exhausted(attempt + 1)) {
       ctx_->verb_retry_exhausted.Inc();

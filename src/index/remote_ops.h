@@ -2,6 +2,7 @@
 #define NAMTREE_INDEX_REMOTE_OPS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "btree/page.h"
@@ -200,12 +201,13 @@ class RemoteOps {
                              uint32_t len);
 
   /// One counted doorbell-batched READ-only chain (head-node prefetch,
-  /// speculative path prefetch): all requests ride one doorbell — one
-  /// round trip regardless of the batch size. Buffers of requests whose
+  /// speculative path prefetch) over `reads` (ChainOp::Read members, which
+  /// may carry in-place images): all ride one doorbell — one round trip
+  /// regardless of the batch size. Buffers (or images) of members whose
   /// target server died mid-batch are unspecified; the caller re-checks
-  /// `alive()` and per-slot `ServerAlive` like any batch consumer.
-  sim::Task<Status> ReadPagesBatch(
-      std::vector<rdma::Fabric::ReadRequest> requests);
+  /// `alive()` and per-slot `ServerAlive` like any batch consumer, and
+  /// releases the images on every path (Fabric::ReleaseImages).
+  sim::Task<Status> ReadPagesBatch(std::span<rdma::Fabric::ChainOp> reads);
 
  private:
   /// The lost-verb retry budget for this client's loops: ForVerbs on the

@@ -145,20 +145,22 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
 
   // One doorbell: every missing/expired predicted page plus the leaf.
   spec->arena.resize(fresh_count * static_cast<size_t>(page));
-  std::vector<rdma::Fabric::ReadRequest> reqs;
+  std::vector<rdma::Fabric::ChainOp> reqs;
   reqs.reserve(fresh_count + 1);
   size_t slot = 0;
   for (size_t i = 0; i < spec->num_hops; ++i) {
     if (!spec->hop(i).fresh) continue;
-    reqs.push_back({rdma::RemotePtr(spec->hop(i).raw),
-                    spec->arena.data() + slot * page, page});
+    reqs.push_back(rdma::Fabric::ChainOp::Read(
+        rdma::RemotePtr(spec->hop(i).raw), spec->arena.data() + slot * page,
+        page));
     slot++;
   }
   if (want_leaf) {
-    reqs.push_back({spec->predicted_leaf, prefetch->leaf_buf, page});
+    reqs.push_back(rdma::Fabric::ChainOp::Read(spec->predicted_leaf,
+                                               prefetch->leaf_buf, page));
     spec->leaf_in_batch = true;
   }
-  if (!(co_await ops.ReadPagesBatch(std::move(reqs))).ok()) co_return;
+  if (!(co_await ops.ReadPagesBatch(reqs)).ok()) co_return;
 
   // Accept only usable slots: live target server, unlocked image. A
   // locked or dropped slot simply keeps no image — validation falls back

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,6 +65,68 @@ class Cluster {
   uint32_t next_catalog_slot_ = 0;
 };
 
+/// Reusable storage for one head-node prefetch batch (LeafLevel::ScanChain):
+/// per member a READ descriptor, an in-place image, and a page slot that
+/// receives the image when a write copies it out, or a re-read. It grows to
+/// the largest batch seen and never zero-fills. A client runs one scan at a
+/// time, and every image is released before the next batch begins.
+class ScanBatch {
+ public:
+  ScanBatch(rdma::Fabric& fabric, uint32_t page_size)
+      : fabric_(&fabric), page_size_(page_size) {}
+  ScanBatch(const ScanBatch&) = delete;
+  ScanBatch& operator=(const ScanBatch&) = delete;
+  /// A suspended scan may still hold pins when its client goes away.
+  ~ScanBatch() { Release(); }
+
+  /// Releases every image of the batch begun by Begin when it goes out of
+  /// scope, on whichever path the consumer leaves.
+  class [[nodiscard]] Lease {
+   public:
+    explicit Lease(ScanBatch& batch) : batch_(&batch) {}
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() { batch_->Release(); }
+
+   private:
+    ScanBatch* batch_;
+  };
+
+  /// Sizes the storage for an `n`-member batch.
+  Lease Begin(uint32_t n) {
+    assert(size_ == 0 && "previous batch not released");
+    if (n > capacity_) {
+      reads_.resize(n);
+      images_ = std::make_unique<rdma::InPlaceImage[]>(n);
+      pages_ = std::make_unique_for_overwrite<uint8_t[]>(
+          static_cast<size_t>(n) * page_size_);
+      capacity_ = n;
+    }
+    size_ = n;
+    return Lease(*this);
+  }
+
+  std::span<rdma::Fabric::ChainOp> reads() { return {reads_.data(), size_}; }
+  rdma::InPlaceImage& image(uint32_t k) { return images_[k]; }
+  uint8_t* page(uint32_t k) {
+    return pages_.get() + static_cast<size_t>(k) * page_size_;
+  }
+
+  void Release() {
+    fabric_->ReleaseImages({images_.get(), size_});
+    size_ = 0;
+  }
+
+ private:
+  rdma::Fabric* fabric_;
+  uint32_t page_size_;
+  uint32_t size_ = 0;
+  uint32_t capacity_ = 0;
+  std::vector<rdma::Fabric::ChainOp> reads_;
+  std::unique_ptr<rdma::InPlaceImage[]> images_;
+  std::unique_ptr<uint8_t[]> pages_;
+};
+
 /// Per-client state for index operations issued from a compute server:
 /// scratch page buffers for one-sided reads, a private RNG, and verb/latency
 /// accounting.
@@ -76,6 +139,7 @@ class ClientContext {
         rng_(seed ^ (0x5851F42D4C957F2Dull * (client_id + 1))),
         page_buf_a_(page_size),
         page_buf_b_(page_size),
+        scan_batch_(fabric, page_size),
         trace_(client_id) {
     metrics::MetricRegistry& registry = fabric.metrics();
     const metrics::LabelSet labels = {{"client", std::to_string(client_id)}};
@@ -132,6 +196,8 @@ class ClientContext {
 
   uint8_t* page_a() { return page_buf_a_.data(); }
   uint8_t* page_b() { return page_buf_b_.data(); }
+  /// Head-node prefetch storage, reused by every scan of this client.
+  ScanBatch& scan_batch() { return scan_batch_; }
   uint32_t page_size() const {
     return static_cast<uint32_t>(page_buf_a_.size());
   }
@@ -208,6 +274,7 @@ class ClientContext {
   Rng rng_;
   std::vector<uint8_t> page_buf_a_;
   std::vector<uint8_t> page_buf_b_;
+  ScanBatch scan_batch_;
   metrics::OpTrace trace_;
 };
 

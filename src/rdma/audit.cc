@@ -23,6 +23,8 @@ const char* ViolationKindName(ViolationKind kind) {
       return "RemoteRace";
     case ViolationKind::kUnresolvedAmbiguousRetry:
       return "UnresolvedAmbiguousRetry";
+    case ViolationKind::kUnhookedWrite:
+      return "UnhookedWrite";
   }
   return "Unknown";
 }
@@ -119,7 +121,7 @@ void VerbAuditor::BindMetrics(metrics::MetricRegistry* registry) {
                             "audit.suppressed_violations", {},
                             "occurrences dropped at the storage cap");
   for (int k = 0;
-       k <= static_cast<int>(ViolationKind::kUnresolvedAmbiguousRetry); ++k) {
+       k <= static_cast<int>(ViolationKind::kUnhookedWrite); ++k) {
     const auto kind = static_cast<ViolationKind>(k);
     registry->RegisterCallback(
         "audit.violations",
@@ -521,6 +523,31 @@ void VerbAuditor::DropWrite(uint64_t ticket) {
   inflight_.erase(ticket);
 }
 
+void VerbAuditor::OnImagePinned(const void* image, uint32_t client,
+                                RemotePtr target, const uint8_t* bytes,
+                                uint32_t len) {
+  if (!enabled_) return;
+  ImageShadow& shadow = image_shadows_[image];
+  shadow.pinned = true;
+  shadow.client = client;
+  shadow.target = target;
+  shadow.bytes.assign(bytes, bytes + len);
+}
+
+void VerbAuditor::OnImageReleased(const void* image, const uint8_t* served,
+                                  SimTime now) {
+  if (!enabled_) return;
+  auto it = image_shadows_.find(image);
+  if (it == image_shadows_.end() || !it->second.pinned) return;
+  ImageShadow& shadow = it->second;
+  shadow.pinned = false;
+  if (served != nullptr &&
+      std::memcmp(served, shadow.bytes.data(), shadow.bytes.size()) != 0) {
+    Report(ViolationKind::kUnhookedWrite, shadow.client, shadow.target, 0,
+           0, now);
+  }
+}
+
 void VerbAuditor::OnRpcRequest(uint32_t client, uint32_t server) {
   if (!enabled_) return;
   Tick(client);
@@ -597,6 +624,7 @@ void VerbAuditor::Reset() {
   ClearViolations();
   words_.clear();
   inflight_.clear();
+  image_shadows_.clear();
   client_vc_.clear();
   server_vc_.clear();
   trace_.clear();

@@ -61,6 +61,12 @@ enum class ViolationKind {
   /// (docs/fault_model.md §8) — blind re-CAS either deadlocks on its own
   /// lock or, after an intervening release, double-acquires.
   kUnresolvedAmbiguousRetry,
+  /// An in-place READ image (head-node prefetch, Fabric::ReleaseImages)
+  /// served bytes other than the ones its READ observed: the target page
+  /// changed while the image was pinned and nothing copied it out first.
+  /// Some writer mutated region memory without going through the fabric's
+  /// copy-out hook, so the consumer read bytes of a later instant.
+  kUnhookedWrite,
 };
 
 /// Human-readable name for `kind` ("WriteWithoutLock", ...).
@@ -172,6 +178,17 @@ class VerbAuditor {
   /// A FETCH_AND_ADD executed: `prev` is the pre-image.
   void OnFaaEffect(uint32_t client, RemotePtr target, uint64_t add,
                    uint64_t prev, SimTime now, uint64_t chain = 0);
+
+  /// An in-place READ image was pinned at its effect: keeps an
+  /// effect-time shadow of the `len` bytes at `bytes`, keyed by `image`
+  /// (a re-pin replaces it).
+  void OnImagePinned(const void* image, uint32_t client, RemotePtr target,
+                     const uint8_t* bytes, uint32_t len);
+
+  /// The image keyed `image` was released while reading `served` (the
+  /// pinned page or its copied-out buffer): reports kUnhookedWrite when
+  /// those bytes differ from the shadow.
+  void OnImageReleased(const void* image, const uint8_t* served, SimTime now);
 
   /// A posted WRITE was dropped in flight (its client crashed before the
   /// memory effect). Consumes the ticket without applying any checks.
@@ -322,6 +339,15 @@ class VerbAuditor {
     std::unordered_map<uint32_t, Access> elided_reads;
   };
 
+  /// Effect-time copy of one in-place image, kept per image address so a
+  /// client's reused images recycle their buffers.
+  struct ImageShadow {
+    bool pinned = false;  ///< a pin not yet released
+    uint32_t client = 0;
+    RemotePtr target;
+    std::vector<uint8_t> bytes;
+  };
+
   struct InflightWrite {
     uint32_t client = 0;
     RemotePtr dst;
@@ -382,6 +408,7 @@ class VerbAuditor {
   std::function<bool(uint32_t)> liveness_probe_;
   std::unordered_map<uint32_t, ServerWords> words_;
   std::unordered_map<uint64_t, InflightWrite> inflight_;
+  std::unordered_map<const void*, ImageShadow> image_shadows_;
   uint64_t next_ticket_ = 1;
   metrics::Counter lock_steals_;
   std::vector<Violation> violations_;

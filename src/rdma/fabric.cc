@@ -36,6 +36,21 @@ uint64_t EnvScheduleSeed() {
   return value == nullptr ? 0 : std::strtoull(value, nullptr, 10);
 }
 
+/// Stable insertion sort of a post's members by effect time. Chains are
+/// short and nearly in order, and std::stable_sort would allocate a buffer.
+/// A plain function, so its temporaries stay out of Post's coroutine frame.
+template <typename Member>
+void SortByEffect(std::span<Member> members) {
+  for (size_t i = 1; i < members.size(); ++i) {
+    const Member m = members[i];
+    size_t j = i;
+    for (; j > 0 && m.effect < members[j - 1].effect; --j) {
+      members[j] = members[j - 1];
+    }
+    members[j] = m;
+  }
+}
+
 }  // namespace
 
 Fabric::Fabric(sim::Simulator& simulator, const FabricConfig& config)
@@ -113,6 +128,12 @@ Fabric::Fabric(sim::Simulator& simulator, const FabricConfig& config)
   metrics_.RegisterCounter(
       rpc_dedup_hits_, "fabric.net.rpc_dedup_hits", {},
       "retransmitted RPCs answered from the dedup cache (not re-executed)");
+  metrics_.RegisterCounter(inplace_served_, "fabric.inplace_images",
+                           {{"outcome", "served"}},
+                           "in-place READ images by outcome");
+  metrics_.RegisterCounter(inplace_copied_, "fabric.inplace_images",
+                           {{"outcome", "copied"}},
+                           "in-place READ images by outcome");
   metrics_.RegisterCounter(rpc_retry_attempts_, "retry.attempts",
                            {{"domain", "rpc"}},
                            "re-attempts after a failed try, by retry domain");
@@ -442,12 +463,17 @@ uint64_t Fabric::ApplyEffect(uint32_t client, const ChainOp& op,
       if (auditor_) {
         auditor_->OnReadEffect(client, op.target, op.len, now, chain_id);
       }
-      std::memcpy(op.dst, TargetAddress(op.target, op.len), op.len);
+      if (op.image != nullptr) {
+        PinImage(client, op);
+      } else {
+        std::memcpy(op.dst, TargetAddress(op.target, op.len), op.len);
+      }
       return 0;
     case ChainOp::Kind::kWrite:
       // A duplicated WRITE lands the same bytes again: byte-idempotent,
       // so no second auditor effect (the sanctioned duplicate).
       if (auditor_) auditor_->OnWriteEffect(audit_ticket, op.src, now);
+      BeforeMutate(op.target, op.len);
       std::memcpy(TargetAddress(op.target, op.len), op.src, op.len);
       return 0;
     case ChainOp::Kind::kEpoch:
@@ -469,13 +495,17 @@ uint64_t Fabric::ApplyEffect(uint32_t client, const ChainOp& op,
     std::memcpy(&current, word, 8);
     if (pass == 0) pre_image = current;
     if (op.kind == ChainOp::Kind::kCas) {
-      if (current == op.expected) std::memcpy(word, &op.desired, 8);
+      if (current == op.expected) {
+        BeforeMutate(op.target, 8);
+        std::memcpy(word, &op.desired, 8);
+      }
       if (auditor_ && pass == 0) {
         auditor_->OnCasEffect(client, op.target, op.expected, op.desired,
                               current, now, chain_id);
       }
     } else {
       const uint64_t updated = current + op.desired;
+      BeforeMutate(op.target, 8);
       std::memcpy(word, &updated, 8);
       if (auditor_) {
         auditor_->OnFaaEffect(client, op.target, op.desired, current, now,
@@ -485,6 +515,106 @@ uint64_t Fabric::ApplyEffect(uint32_t client, const ChainOp& op,
   }
   if (op.result != nullptr) *op.result = pre_image;
   return pre_image;
+}
+
+void Fabric::PinImage(uint32_t client, const ChainOp& op) {
+  InPlaceImage& image = *op.image;
+  if (image.pinned_) Unpin(image);  // a re-posted batch re-pins
+  image.data_ = TargetAddress(op.target, op.len);
+  image.buffer_ = static_cast<uint8_t*>(op.dst);
+  image.target_ = op.target;
+  image.len_ = op.len;
+  image.block_ = ImageBlock(op.target.server_id(), op.target.offset());
+  image.pinned_ = true;
+  max_image_len_ = std::max(max_image_len_, op.len);
+  if (2 * (pinned_images_ + 1) > pin_table_.size()) GrowPinTable();
+  uint32_t pos = PinHome(image.block_);
+  while (pin_table_[pos] != nullptr) pos = (pos + 1) & pin_mask_;
+  pin_table_[pos] = &image;
+  pinned_images_++;
+  if (auditor_) {
+    auditor_->OnImagePinned(&image, client, op.target, image.data_, op.len);
+  }
+}
+
+void Fabric::CopyOutPinned(RemotePtr target, uint32_t len) {
+  if (len == 0) return;
+  // An image overlapping [lo, hi) starts after lo - max_image_len_, so only
+  // the blocks from there through hi - 1 can index one.
+  const uint32_t server = target.server_id();
+  const uint64_t lo = target.offset();
+  const uint64_t hi = lo + len;
+  const uint64_t first = lo >= max_image_len_ ? lo - max_image_len_ + 1 : 0;
+  for (uint64_t block = first >> kImageBlockShift;
+       block <= (hi - 1) >> kImageBlockShift; ++block) {
+    const uint64_t key = ImageBlock(server, block << kImageBlockShift);
+    uint32_t pos = PinHome(key);
+    while (pin_table_[pos] != nullptr) {
+      InPlaceImage& image = *pin_table_[pos];
+      const uint64_t start = image.target_.offset();
+      if (image.block_ != key || start >= hi || start + image.len_ <= lo) {
+        pos = (pos + 1) & pin_mask_;
+        continue;
+      }
+      std::memcpy(image.buffer_, image.data_, image.len_);
+      image.data_ = image.buffer_;
+      image.pinned_ = false;
+      inplace_copied_.Inc();
+      // The backward shift refills `pos` from later in the run (or empties
+      // it): examine it again.
+      UnpinAt(pos);
+    }
+  }
+}
+
+void Fabric::UnpinAt(uint32_t pos) {
+  pinned_images_--;
+  uint32_t hole = pos;
+  for (uint32_t i = (hole + 1) & pin_mask_; pin_table_[i] != nullptr;
+       i = (i + 1) & pin_mask_) {
+    // Entry i may fill the hole unless its home lies in (hole, i].
+    const uint32_t home = PinHome(pin_table_[i]->block_);
+    if (((i - home) & pin_mask_) >= ((i - hole) & pin_mask_)) {
+      pin_table_[hole] = pin_table_[i];
+      hole = i;
+    }
+  }
+  pin_table_[hole] = nullptr;
+}
+
+void Fabric::Unpin(const InPlaceImage& image) {
+  uint32_t pos = PinHome(image.block_);
+  while (pin_table_[pos] != &image) pos = (pos + 1) & pin_mask_;
+  UnpinAt(pos);
+}
+
+void Fabric::GrowPinTable() {
+  std::vector<InPlaceImage*> old = std::move(pin_table_);
+  const size_t buckets = old.empty() ? 64 : 2 * old.size();
+  pin_table_.assign(buckets, nullptr);
+  pin_mask_ = static_cast<uint32_t>(buckets - 1);
+  pin_shift_ = 64 - __builtin_ctzll(buckets);
+  for (InPlaceImage* image : old) {
+    if (image == nullptr) continue;
+    uint32_t pos = PinHome(image->block_);
+    while (pin_table_[pos] != nullptr) pos = (pos + 1) & pin_mask_;
+    pin_table_[pos] = image;
+  }
+}
+
+void Fabric::ReleaseImages(std::span<InPlaceImage> images) {
+  for (InPlaceImage& image : images) {
+    if (image.data_ == nullptr) continue;
+    if (auditor_) {
+      auditor_->OnImageReleased(&image, image.data_, simulator_.now());
+    }
+    if (image.pinned_) {
+      Unpin(image);
+      image.pinned_ = false;
+      inplace_served_.Inc();
+    }
+    image.data_ = nullptr;
+  }
 }
 
 sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
@@ -625,12 +755,7 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
 
   // Perform the memory effects in virtual-time order (equals posting order
   // for ordered chains).
-  if (members.size() > 1) {
-    std::stable_sort(members.begin(), members.end(),
-                     [](const Member& a, const Member& b) {
-                       return a.effect < b.effect;
-                     });
-  }
+  SortByEffect(members);
   uint64_t value = 0;
   for (size_t mi = 0; mi < members.size(); ++mi) {
     const Member& m = members[mi];
@@ -749,13 +874,11 @@ sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
 }
 
 sim::Task<VerbCompletion> Fabric::ReadBatch(uint32_t client,
-                                            std::vector<ReadRequest> requests) {
-  std::vector<ChainOp> ops;
-  ops.reserve(requests.size());
-  for (const ReadRequest& r : requests) {
-    ops.push_back(ChainOp::Read(r.src, r.dst, r.len));
-  }
-  co_return (co_await Post(client, ops, kChainProfile)).completion;
+                                            std::span<ChainOp> reads) {
+  assert(std::all_of(reads.begin(), reads.end(), [](const ChainOp& op) {
+    return op.kind == ChainOp::Kind::kRead;
+  }));
+  co_return (co_await Post(client, reads, kChainProfile)).completion;
 }
 
 sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,

@@ -58,6 +58,38 @@ struct CombinedReadResult {
   bool ok() const { return completion == VerbCompletion::kOk; }
 };
 
+/// A READ chain member's image left in place (head-node prefetch, §4.3).
+/// The member's effect does not copy the target bytes: it pins the target,
+/// and `data()` points into the target region. A later WRITE, CAS or FAA
+/// whose effect overlaps a pinned image first copies the pinned bytes into
+/// the member's own buffer (the READ's `dst`) and repoints `data()` there,
+/// so the consumer always reads the bytes as of the READ's effect. The
+/// consumer releases every image it handed to a batch
+/// (Fabric::ReleaseImages) once it is done with it; a released image is
+/// never copied. Not copyable: the fabric indexes pinned images by address.
+class InPlaceImage {
+ public:
+  InPlaceImage() = default;
+  InPlaceImage(const InPlaceImage&) = delete;
+  InPlaceImage& operator=(const InPlaceImage&) = delete;
+
+  /// The effect-time bytes: the target page itself while pinned, the
+  /// member's buffer once a write copied them out, nullptr when no effect
+  /// reached the member (a dropped verb).
+  const uint8_t* data() const { return data_; }
+  /// True while the image reads the target region directly.
+  bool pinned() const { return pinned_; }
+
+ private:
+  friend class Fabric;
+  const uint8_t* data_ = nullptr;
+  uint8_t* buffer_ = nullptr;  ///< the member's buffer (copy-out target)
+  RemotePtr target_;
+  uint32_t len_ = 0;
+  uint64_t block_ = 0;  ///< pinned-image index key (Fabric::ImageBlock)
+  bool pinned_ = false;
+};
+
 /// The simulated RDMA network connecting compute clients to memory servers.
 ///
 /// All verbs perform their *real* memory effect (copy / compare-and-swap /
@@ -257,23 +289,22 @@ class Fabric {
   sim::Task<CombinedReadResult> CombinedRead(uint32_t client, RemotePtr src,
                                              void* dst, uint32_t len);
 
-  struct ReadRequest {
-    RemotePtr src;
-    void* dst;
-    uint32_t len;
-  };
-
   /// One verb descriptor: an element of a doorbell-batched chain
-  /// (PostChain), and what every standalone one-sided verb is built from.
-  /// kEpoch is ReadClientEpoch's effect: an 8-byte READ of `subject`'s
-  /// liveness record, not a chain member.
+  /// (PostChain, ReadBatch), and what every standalone one-sided verb is
+  /// built from. kEpoch is ReadClientEpoch's effect: an 8-byte READ of
+  /// `subject`'s liveness record, not a chain member.
   struct ChainOp {
     enum class Kind : uint8_t { kRead, kWrite, kCas, kFaa, kEpoch };
 
     Kind kind = Kind::kRead;
     RemotePtr target;
-    void* dst = nullptr;        ///< READ destination buffer
+    /// READ destination buffer; with `image`, the buffer that receives the
+    /// image only when a write copies it out.
+    void* dst = nullptr;
     const void* src = nullptr;  ///< WRITE source buffer
+    /// READ-only-chain members: pin the target instead of copying it
+    /// (InPlaceImage). The poster releases it (ReleaseImages).
+    InPlaceImage* image = nullptr;
     uint32_t len = 0;
     uint64_t expected = 0;      ///< CAS compare value
     uint64_t desired = 0;       ///< CAS swap value / FAA addend
@@ -288,12 +319,14 @@ class Fabric {
     /// begin) or after it (dropped).
     int32_t fence_server = -1;
 
-    static ChainOp Read(RemotePtr src, void* dst, uint32_t len) {
+    static ChainOp Read(RemotePtr src, void* dst, uint32_t len,
+                        InPlaceImage* image = nullptr) {
       ChainOp op;
       op.kind = Kind::kRead;
       op.target = src;
       op.dst = dst;
       op.len = len;
+      op.image = image;
       return op;
     }
     static ChainOp Write(RemotePtr dst, const void* src, uint32_t len) {
@@ -348,9 +381,18 @@ class Fabric {
                                       std::vector<ChainOp> ops);
 
   /// Selectively-signaled batch of READs (head-node prefetch, §4.3): a
-  /// READ-only PostChain. Completes when the last read has arrived.
+  /// READ-only PostChain over the caller's `reads` (every member kRead).
+  /// Completes when the last read has arrived. Members that carry an
+  /// InPlaceImage pin their target at their effect; a re-post re-pins.
   sim::Task<VerbCompletion> ReadBatch(uint32_t client,
-                                      std::vector<ReadRequest> requests);
+                                      std::span<ChainOp> reads);
+
+  /// Ends the images' pins: a pinned image stops reading the target region
+  /// (data() becomes nullptr) and no later write copies it. Releasing an
+  /// unpinned or never-pinned image only resets it. Under the auditor, the
+  /// bytes each image served are checked against its effect-time shadow
+  /// (ViolationKind::kUnhookedWrite).
+  void ReleaseImages(std::span<InPlaceImage> images);
 
   /// RDMA WRITE: copies `len` bytes from `src` into remote memory. kLost
   /// when a network fault swallowed the verb or its completion; the bytes
@@ -446,6 +488,10 @@ class Fabric {
   ///                                   (never reset)
   ///   fabric.net.partitioned_drops    verbs dropped on a severed link
   ///                                   (never reset)
+  ///   fabric.inplace_images{outcome}  in-place READ images (head-node
+  ///                            prefetch): outcome=served released while
+  ///                            still pinned, outcome=copied copied out by
+  ///                            an overlapping WRITE/CAS/FAA (never reset)
   ///   retry.attempts{domain}   re-attempts after a failed try, by retry
   ///                            domain (rpc here; lock/verb/steal are
   ///                            registered by ClientContext; never reset)
@@ -663,6 +709,40 @@ class Fabric {
   uint64_t ApplyEffect(uint32_t client, const ChainOp& op, bool duplicated,
                        uint64_t audit_ticket, uint64_t chain_id);
 
+  // ---- Pinned in-place images ---------------------------------------------
+  // An open-addressed table of InPlaceImage pointers (Fibonacci hash, linear
+  // probing, backward-shift erase, load factor <= 1/2), keyed by the 4 KiB
+  // block of the region that holds the image's first byte. A write probes
+  // the blocks that can hold the start of an image overlapping it, so the
+  // write-side check is one branch while nothing is pinned.
+
+  static constexpr uint32_t kImageBlockShift = 12;
+  static uint64_t ImageBlock(uint32_t server, uint64_t offset) {
+    return (static_cast<uint64_t>(server) + 1) << 44 |
+           offset >> kImageBlockShift;
+  }
+
+  /// Pins `op.image` at `op.target` (the READ effect of an in-place
+  /// member); a re-posted member is re-pinned.
+  void PinImage(uint32_t client, const ChainOp& op);
+
+  /// Copies out every pinned image overlapping [target, target + len)
+  /// before a WRITE, CAS or FAA mutates those bytes.
+  void BeforeMutate(RemotePtr target, uint32_t len) {
+    if (pinned_images_ != 0) CopyOutPinned(target, len);
+  }
+  void CopyOutPinned(RemotePtr target, uint32_t len);
+
+  uint32_t PinHome(uint64_t block) const {
+    return static_cast<uint32_t>((block * 0x9E3779B97F4A7C15ull) >>
+                                 pin_shift_);
+  }
+  /// Removes the image at table position `pos` (no tombstones).
+  void UnpinAt(uint32_t pos);
+  /// Removes `image`, which must be pinned.
+  void Unpin(const InPlaceImage& image);
+  void GrowPinTable();
+
   uint64_t region_capacity(uint32_t server) const {
     return memory_servers_[server].region->capacity();
   }
@@ -744,6 +824,16 @@ class Fabric {
     std::shared_ptr<PendingRead> pending;  ///< combining only
   };
   std::vector<std::vector<InflightRead>> inflight_reads_;
+  /// Pinned in-place images (see PinImage); nullptr = empty bucket.
+  std::vector<InPlaceImage*> pin_table_;
+  uint32_t pin_mask_ = 0;
+  uint32_t pin_shift_ = 64;
+  size_t pinned_images_ = 0;
+  /// Longest image ever pinned: bounds how far before a write an
+  /// overlapping image can start.
+  uint32_t max_image_len_ = 0;
+  metrics::Counter inplace_served_;
+  metrics::Counter inplace_copied_;
   // Registered in the constructor under the family names documented at
   // metrics(); ResetStats() zeroes the doorbell, signaled/unsignaled and
   // combined-read counters, the rest run for the fabric's lifetime.

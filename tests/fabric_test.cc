@@ -277,10 +277,10 @@ TEST(RpcTest, RequestsToDistinctServersRunInParallel) {
 
 // ---- Batched (selectively signaled) reads -----------------------------------
 
-Task<> BatchRead(Fabric& fabric, std::vector<Fabric::ReadRequest> reqs,
+Task<> BatchRead(Fabric& fabric, std::vector<Fabric::ChainOp> reqs,
                  SimTime* latency) {
   const SimTime start = fabric.simulator().now();
-  co_await fabric.ReadBatch(0, std::move(reqs));
+  co_await fabric.ReadBatch(0, reqs);
   *latency = fabric.simulator().now() - start;
 }
 
@@ -288,12 +288,12 @@ TEST(FabricTest, BatchedReadsAreCheaperThanSequentialReads) {
   FabricConfig config = TestConfig();
   Cluster cluster(config, 1 << 20);
   auto& region = cluster.memory_server(0).region();
-  std::vector<Fabric::ReadRequest> reqs;
+  std::vector<Fabric::ChainOp> reqs;
   std::vector<std::vector<uint8_t>> bufs(8, std::vector<uint8_t>(1024));
   for (int i = 0; i < 8; ++i) {
     RemotePtr p = region.AllocateLocal(1024);
     region.WriteU64(p.offset(), 1000 + i);
-    reqs.push_back({p, bufs[i].data(), 1024});
+    reqs.push_back(Fabric::ChainOp::Read(p, bufs[i].data(), 1024));
   }
   SimTime batch_latency = 0;
   Spawn(cluster.simulator(),
