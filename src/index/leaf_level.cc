@@ -270,10 +270,11 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
     bool resumed_chain = false;
     for (uint32_t k = 0; k < n; ++k) {
       const rdma::RemotePtr target = batch.reads()[k].target;
-      const uint8_t* image = batch.image(k).data();
-      if (image == nullptr || !ops.fabric().ServerAlive(target.server_id()) ||
-          IsLocked(PageView(const_cast<uint8_t*>(image), page_size)
-                       .version_word())) {
+      // Read-only view: a pinned image is the remote page itself.
+      PageView leaf(const_cast<uint8_t*>(batch.image(k).data()), page_size);
+      if (leaf.data() == nullptr ||
+          !ops.fabric().ServerAlive(target.server_id()) ||
+          IsLocked(leaf.version_word())) {
         // The image was mid-write, or its member was dropped by a dead
         // target server and holds nothing current: release it and fall
         // back to a fresh spin-read into the member's own page slot, which
@@ -285,10 +286,8 @@ sim::Task<uint64_t> LeafLevel::ScanChain(RemoteOps ops, rdma::RemotePtr start,
           if (status != nullptr) *status = reread.status;
           co_return found;
         }
-        image = batch.page(k);
+        leaf = PageView(batch.page(k), page_size);
       }
-      // Read-only view: a pinned image is the remote page itself.
-      const PageView leaf(const_cast<uint8_t*>(image), page_size);
       if (leaf.is_head()) {  // stale pointer now naming a head: re-walk
         ptr = target;
         resumed_chain = true;
