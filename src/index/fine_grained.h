@@ -81,6 +81,9 @@ class FineGrainedIndex : public DistributedIndex {
   using CacheStats = TraversalEngine::CacheStats;
   CacheStats GetCacheStats() const { return engine_.GetCacheStats(); }
 
+  /// The page images every client's cache shares.
+  const ImagePool& image_pool() const { return engine_.image_pool(); }
+
  private:
   nam::Cluster& cluster_;
   IndexConfig config_;

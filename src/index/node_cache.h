@@ -1,7 +1,10 @@
 #ifndef NAMTREE_INDEX_NODE_CACHE_H_
 #define NAMTREE_INDEX_NODE_CACHE_H_
 
+#include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -9,6 +12,188 @@
 #include "common/units.h"
 
 namespace namtree::index {
+
+/// Reference-counted store of client-cache page images, shared by every
+/// NodeCache of one TraversalEngine (docs/traversal.md, "Cache layout").
+/// Clients of one index cache the same few hundred inner pages, so an
+/// image is stored once per (page, content): Intern hands out a reference
+/// to an identical image of the same page when one is held, and copies
+/// the bytes into a recycled block otherwise. Images are immutable while
+/// referenced; the last Release recycles the block.
+///
+/// Storage is flat: block metadata in one vector, images in fixed-size
+/// chunks that never move, free blocks on a list linked through the
+/// metadata, and an open-addressed table of block indices keyed by page
+/// (Fibonacci hash, linear probing, backward-shift erase, load factor
+/// <= 1/2). Stale and fresh images of one page can coexist, so a page may
+/// own several entries of one probe run.
+///
+/// Audited builds keep a checksum of every block, taken at intern time and
+/// verified at each release: a write through a pointer a cache returned
+/// would change the image under every client sharing it, and aborts there.
+class ImagePool {
+ public:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  explicit ImagePool(uint32_t image_size) : image_size_(image_size) {}
+  ImagePool(const ImagePool&) = delete;
+  ImagePool& operator=(const ImagePool&) = delete;
+
+  uint32_t image_size() const { return image_size_; }
+  /// Distinct images held: blocks with at least one reference.
+  size_t images() const { return live_; }
+  /// References held across all blocks.
+  size_t refs() const { return refs_; }
+  /// Blocks ever allocated, live or free: the pool's footprint in images.
+  size_t blocks() const { return blocks_.size(); }
+
+  /// A reference to an image of `page` holding `bytes`: an identical held
+  /// image gains a reference, otherwise the bytes are copied into a block.
+  uint32_t Intern(uint64_t page, const uint8_t* bytes) {
+    refs_++;
+    if (!table_.empty()) {
+      // The table is at most half full, so the probe meets an empty bucket.
+      for (uint32_t pos = Home(page);; pos = (pos + 1) & mask_) {
+        const uint32_t b = table_[pos];
+        if (b == kNil) break;
+        if (blocks_[b].page == page &&
+            std::memcmp(Data(b), bytes, image_size_) == 0) {
+          blocks_[b].refs++;
+          return b;
+        }
+      }
+    }
+    const uint32_t b = AllocBlock();
+    std::memcpy(Data(b), bytes, image_size_);
+    blocks_[b].page = page;
+    blocks_[b].refs = 1;
+#if NAMTREE_AUDIT
+    blocks_[b].checksum = Checksum(b);
+#endif
+    if (2 * (live_ + 1) > table_.size()) Rehash();
+    Place(b);
+    live_++;
+    return b;
+  }
+
+  /// Drops one reference to `block`; the last one recycles it.
+  void Release(uint32_t block) {
+    Block& blk = blocks_[block];
+    assert(blk.refs > 0);
+#if NAMTREE_AUDIT
+    if (Checksum(block) != blk.checksum) {
+      std::fprintf(stderr,
+                   "ImagePool: image of page %#llx was written through a "
+                   "read-only cache pointer\n",
+                   static_cast<unsigned long long>(blk.page));
+      std::abort();
+    }
+#endif
+    refs_--;
+    if (--blk.refs > 0) return;
+    Erase(block);
+    blk.next_free = free_;
+    free_ = block;
+    live_--;
+  }
+
+  const uint8_t* data(uint32_t block) const { return Data(block); }
+
+ private:
+  /// Images per allocation; a chunk never moves once allocated.
+  static constexpr uint32_t kChunkImages = 64;
+
+  struct Block {
+    uint64_t page = 0;
+    uint32_t refs = 0;
+    uint32_t next_free = kNil;
+#if NAMTREE_AUDIT
+    uint64_t checksum = 0;
+#endif
+  };
+
+  uint8_t* Data(uint32_t block) const {
+    return chunks_[block / kChunkImages].get() +
+           static_cast<size_t>(block % kChunkImages) * image_size_;
+  }
+
+#if NAMTREE_AUDIT
+  /// FNV-1a over the image.
+  uint64_t Checksum(uint32_t block) const {
+    const uint8_t* bytes = Data(block);
+    uint64_t h = 0xCBF29CE484222325ull;
+    for (uint32_t i = 0; i < image_size_; ++i) {
+      h = (h ^ bytes[i]) * 0x100000001B3ull;
+    }
+    return h;
+  }
+#endif
+
+  uint32_t Home(uint64_t page) const {
+    return static_cast<uint32_t>((page * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void Place(uint32_t block) {
+    uint32_t pos = Home(blocks_[block].page);
+    while (table_[pos] != kNil) pos = (pos + 1) & mask_;
+    table_[pos] = block;
+  }
+
+  void Rehash() {
+    std::vector<uint32_t> old = std::move(table_);
+    const size_t buckets = old.empty() ? 16 : 2 * old.size();
+    table_.assign(buckets, kNil);
+    mask_ = static_cast<uint32_t>(buckets - 1);
+    shift_ = 64 - __builtin_ctzll(buckets);
+    for (const uint32_t b : old) {
+      if (b != kNil) Place(b);
+    }
+  }
+
+  /// Removes `block` from the table, closing the probe gap by shifting
+  /// later members of the run back (no tombstones).
+  void Erase(uint32_t block) {
+    uint32_t hole = Home(blocks_[block].page);
+    while (table_[hole] != block) hole = (hole + 1) & mask_;
+    for (uint32_t i = (hole + 1) & mask_; table_[i] != kNil;
+         i = (i + 1) & mask_) {
+      // Entry i may fill the hole unless its home lies in (hole, i].
+      const uint32_t home = Home(blocks_[table_[i]].page);
+      if (((i - home) & mask_) >= ((i - hole) & mask_)) {
+        table_[hole] = table_[i];
+        hole = i;
+      }
+    }
+    table_[hole] = kNil;
+  }
+
+  /// A free block, recycling released ones first; a block past the last
+  /// chunk allocates the next chunk.
+  uint32_t AllocBlock() {
+    if (free_ != kNil) {
+      const uint32_t b = free_;
+      free_ = blocks_[b].next_free;
+      return b;
+    }
+    const auto b = static_cast<uint32_t>(blocks_.size());
+    if (b % kChunkImages == 0) {
+      chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(
+          static_cast<size_t>(kChunkImages) * image_size_));
+    }
+    blocks_.emplace_back();
+    return b;
+  }
+
+  uint32_t image_size_;
+  std::vector<Block> blocks_;
+  std::vector<std::unique_ptr<uint8_t[]>> chunks_;
+  std::vector<uint32_t> table_;  ///< block index per bucket, kNil = empty
+  uint32_t mask_ = 0;
+  uint32_t shift_ = 64;
+  uint32_t free_ = kNil;  ///< head of the free-block list
+  size_t live_ = 0;
+  size_t refs_ = 0;
+};
 
 /// Client-side cache of (inner) index-node images, the Appendix A.4
 /// extension: compute servers keep copies of hot index nodes to skip remote
@@ -32,13 +217,36 @@ namespace namtree::index {
 /// Storage is flat so a warm lookup neither chases pointers nor allocates
 /// (docs/traversal.md, "Cache layout"): entries live in a slot array, an
 /// open-addressed table of slot indices finds them (Fibonacci hash, linear
-/// probing, backward-shift erase, load factor <= 1/2), the LRU list is
-/// linked through slot indices, and images sit in fixed-size chunks
-/// addressed by slot index, so an image never moves once written.
+/// probing, backward-shift erase, load factor <= 1/2), and the LRU list is
+/// linked through slot indices. Page images are interned in an ImagePool
+/// shared with the other clients' caches, and a slot holds its image's
+/// pool block. Entries of at most 8 bytes (leaf routes) live in the slot
+/// itself: a pool reference would be as large as the entry and cost a
+/// probe on every Put.
 class NodeCache {
  public:
-  NodeCache(uint32_t page_size, size_t capacity_pages, SimTime ttl)
-      : page_size_(page_size), capacity_(capacity_pages), ttl_(ttl) {}
+  /// Slot handle returned by Peek; kNil when absent.
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// `pool` stores the images of page-sized entries and must outlive the
+  /// cache; entries of at most 8 bytes need none.
+  NodeCache(uint32_t page_size, size_t capacity_pages, SimTime ttl,
+            ImagePool* pool = nullptr)
+      : page_size_(page_size),
+        capacity_(capacity_pages),
+        ttl_(ttl),
+        pool_(page_size > kInlineBytes ? pool : nullptr) {
+    assert(page_size_ <= kInlineBytes ||
+           (pool_ != nullptr && pool_->image_size() == page_size_));
+  }
+  NodeCache(const NodeCache&) = delete;
+  NodeCache& operator=(const NodeCache&) = delete;
+  ~NodeCache() {
+    if (pool_ == nullptr) return;
+    for (uint32_t s = head_; s != kNil; s = slots_[s].next) {
+      pool_->Release(static_cast<uint32_t>(slots_[s].entry));
+    }
+  }
 
   uint32_t page_size() const { return page_size_; }
   size_t capacity() const { return capacity_; }
@@ -50,9 +258,12 @@ class NodeCache {
   /// Entries dropped by Invalidate (the fence checks' evictions).
   uint64_t invalidations() const { return invalidations_; }
   size_t size() const { return size_; }
+  /// Bumped by every Put and every erase (eviction, expiry, Invalidate):
+  /// while it is unchanged, every key maps to the slot and image it had.
+  uint64_t mutations() const { return mutations_; }
 
-  /// Returns the cached image for `ptr_raw` (valid until the next cache
-  /// mutation) or nullptr on miss/expiry.
+  /// Returns the cached image for `ptr_raw` (read-only, valid until the
+  /// next cache mutation) or nullptr on miss/expiry.
   const uint8_t* Get(uint64_t ptr_raw, SimTime now) {
     const uint32_t pos = Find(ptr_raw);
     if (pos == kNil) {
@@ -66,9 +277,17 @@ class NodeCache {
       Erase(pos);
       return nullptr;
     }
+    Touch(slot);
+    return Image(slot);
+  }
+
+  /// Get's hit accounting and LRU move for `slot`, a handle Peek returned
+  /// while mutations() still reads what it read then: how a replayed
+  /// speculative hop counts as the hit Get would have been, without
+  /// looking the key up or the image over again.
+  void Touch(uint32_t slot) {
     hits_++;
     MoveToFront(slot);
-    return Image(slot);
   }
 
   /// Non-mutating lookup for the speculative path predictor: no LRU touch,
@@ -77,9 +296,12 @@ class NodeCache {
   /// `*expired = true` so the predictor can route through it locally (a
   /// stale inner image only routes too far left) while scheduling a fresh
   /// batched read for it. The pointer is valid until the next cache
-  /// mutation; prediction must not await between Peek and use.
-  const uint8_t* Peek(uint64_t ptr_raw, SimTime now, bool* expired) const {
+  /// mutation; prediction must not await between Peek and use. `slot`,
+  /// when given, receives the entry's handle for Touch (kNil on a miss).
+  const uint8_t* Peek(uint64_t ptr_raw, SimTime now, bool* expired,
+                      uint32_t* slot = nullptr) const {
     const uint32_t pos = Find(ptr_raw);
+    if (slot != nullptr) *slot = pos == kNil ? kNil : table_[pos];
     if (pos == kNil) {
       *expired = false;
       return nullptr;
@@ -104,11 +326,24 @@ class NodeCache {
   /// when over budget.
   void Put(uint64_t ptr_raw, const uint8_t* image, SimTime now) {
     if (capacity_ == 0) return;
+    mutations_++;
+    // Take the bytes before anything is evicted: `image` may point at an
+    // entry (of this cache or, pooled, of another) that the eviction frees.
+    // An overwrite with identical bytes gets its own block back here.
+    uint64_t entry = 0;
+    if (pool_ == nullptr) {
+      std::memcpy(&entry, image, page_size_);
+    } else {
+      entry = pool_->Intern(ptr_raw, image);
+    }
     uint32_t slot;
     const uint32_t pos = Find(ptr_raw);
     if (pos != kNil) {
       slot = table_[pos];
       MoveToFront(slot);
+      if (pool_ != nullptr) {
+        pool_->Release(static_cast<uint32_t>(slots_[slot].entry));
+      }
     } else {
       if (size_ >= capacity_) Erase(Find(slots_[tail_].key));
       slot = AllocSlot();
@@ -116,7 +351,7 @@ class NodeCache {
       Insert(slot);
       LinkFront(slot);
     }
-    std::memcpy(Image(slot), image, page_size_);
+    slots_[slot].entry = entry;
     slots_[slot].loaded_at = now;
   }
 
@@ -129,25 +364,26 @@ class NodeCache {
   }
 
  private:
-  static constexpr uint32_t kNil = UINT32_MAX;
-  /// Images per allocation. A growing vector of images would transiently
-  /// need twice its size on every doubling; fixed chunks never move.
-  static constexpr uint32_t kChunkImages = 16;
+  /// Entries up to this size live in the slot instead of the pool.
+  static constexpr uint32_t kInlineBytes = 8;
 
   struct Slot {
     uint64_t key = 0;
     SimTime loaded_at = 0;
     uint32_t prev = kNil;  ///< towards the MRU end
     uint32_t next = kNil;  ///< towards the LRU end; free-list link if free
+    /// The entry's pool block (pool_ set), else the entry's bytes.
+    uint64_t entry = 0;
   };
 
   bool Expired(uint32_t slot, SimTime now) const {
     return ttl_ > 0 && now - slots_[slot].loaded_at > ttl_;
   }
 
-  uint8_t* Image(uint32_t slot) const {
-    return chunks_[slot / kChunkImages].get() +
-           static_cast<size_t>(slot % kChunkImages) * page_size_;
+  const uint8_t* Image(uint32_t slot) const {
+    const uint64_t& entry = slots_[slot].entry;
+    return pool_ != nullptr ? pool_->data(static_cast<uint32_t>(entry))
+                            : reinterpret_cast<const uint8_t*>(&entry);
   }
 
   /// Home bucket: the top bits of the key times 2^64/phi.
@@ -193,11 +429,15 @@ class NodeCache {
   }
 
   /// Removes the entry at table position `pos`: unlinks it from the LRU,
-  /// frees its slot, and closes the probe gap by shifting later members of
-  /// the run back (no tombstones).
+  /// releases its image, frees its slot, and closes the probe gap by
+  /// shifting later members of the run back (no tombstones).
   void Erase(uint32_t pos) {
+    mutations_++;
     const uint32_t slot = table_[pos];
     Unlink(slot);
+    if (pool_ != nullptr) {
+      pool_->Release(static_cast<uint32_t>(slots_[slot].entry));
+    }
     slots_[slot].next = free_;
     free_ = slot;
     size_--;
@@ -214,21 +454,15 @@ class NodeCache {
     table_[hole] = kNil;
   }
 
-  /// A free slot, reusing erased ones first; a new slot past the last
-  /// chunk allocates the next chunk of images.
+  /// A free slot, reusing erased ones first.
   uint32_t AllocSlot() {
     if (free_ != kNil) {
       const uint32_t slot = free_;
       free_ = slots_[slot].next;
       return slot;
     }
-    const auto slot = static_cast<uint32_t>(slots_.size());
-    if (slot % kChunkImages == 0) {
-      chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(
-          static_cast<size_t>(kChunkImages) * page_size_));
-    }
     slots_.emplace_back();
-    return slot;
+    return static_cast<uint32_t>(slots_.size() - 1);
   }
 
   void LinkFront(uint32_t slot) {
@@ -254,8 +488,9 @@ class NodeCache {
   uint32_t page_size_;
   size_t capacity_;
   SimTime ttl_;
+  /// Set for page-sized entries; null while entries live in the slots.
+  ImagePool* pool_;
   std::vector<Slot> slots_;
-  std::vector<std::unique_ptr<uint8_t[]>> chunks_;
   std::vector<uint32_t> table_;  ///< slot index per bucket, kNil = empty
   uint32_t mask_ = 0;
   uint32_t shift_ = 64;
@@ -263,6 +498,7 @@ class NodeCache {
   uint32_t tail_ = kNil;  ///< least recently used: the next victim
   uint32_t free_ = kNil;  ///< head of the free-slot list
   size_t size_ = 0;
+  uint64_t mutations_ = 0;
   // namtree-lint: metric-ok(cache-local accounting surfaced through CacheStats; the cache is a value type created per context, not a registry owner)
   uint64_t hits_ = 0;
   // namtree-lint: metric-ok(see hits_)

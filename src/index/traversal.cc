@@ -37,26 +37,28 @@ NodeCache* TraversalEngine::CacheFor(uint32_t client_id) {
   if (opts_.cache_mode == CacheMode::kNone || opts_.cache_pages == 0) {
     return nullptr;
   }
-  if (client_id >= caches_.size()) caches_.resize(client_id + 1);
-  std::unique_ptr<NodeCache>& cache = caches_[client_id];
-  if (cache == nullptr) {
-    // Route entries are one 8-byte leaf pointer, not a page image.
-    const uint32_t entry_size =
-        opts_.cache_mode == CacheMode::kLeafRoutes ? 8 : opts_.page_size;
-    cache = std::make_unique<NodeCache>(entry_size, opts_.cache_pages,
-                                        opts_.cache_ttl);
+  if (client_id >= clients_.size()) clients_.resize(client_id + 1);
+  std::unique_ptr<ClientState>& state = clients_[client_id];
+  if (state == nullptr) {
+    // Route entries are one 8-byte leaf pointer, not a page image; they
+    // stay in the cache's slots.
+    const bool routes = opts_.cache_mode == CacheMode::kLeafRoutes;
+    state = std::make_unique<ClientState>(
+        routes ? 8 : opts_.page_size, opts_.cache_pages, opts_.cache_ttl,
+        routes ? nullptr : &pool_);
   }
-  return cache.get();
+  return &state->cache;
 }
 
 TraversalEngine::CacheStats TraversalEngine::GetCacheStats() const {
   CacheStats stats;
-  for (const auto& cache : caches_) {
-    if (cache == nullptr) continue;
-    stats.hits += cache->hits();
-    stats.misses += cache->misses();
-    stats.expirations += cache->expirations();
-    stats.fence_invalidations += cache->invalidations();
+  for (const auto& state : clients_) {
+    if (state == nullptr) continue;
+    const NodeCache& cache = state->cache;
+    stats.hits += cache.hits();
+    stats.misses += cache.misses();
+    stats.expirations += cache.expirations();
+    stats.fence_invalidations += cache.invalidations();
   }
   return stats;
 }
@@ -84,9 +86,9 @@ void TraversalEngine::SeedPublishedImage(NodeCache* cache,
 }
 
 sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
-                                               Key key, NodeCache* cache,
+                                               Key key, NodeCache& cache,
                                                DescentPrefetch* prefetch,
-                                               SpecState* spec) {
+                                               SpecState& spec) {
   const SimTime now = ops.fabric().simulator().now();
   const uint32_t page = opts_.page_size;
   rdma::RemotePtr ptr = trees_[tree].root;
@@ -95,81 +97,94 @@ sim::Task<void> TraversalEngine::SpeculatePath(RemoteOps& ops, uint32_t tree,
   // speculation entirely (the plain loop then runs untouched).
   const size_t max_hops =
       static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
+  spec.cache_mutations = cache.mutations();
   // The walk records its hops straight into `spec`; they only count once
   // `attempted` is set below, so an abandoned walk leaves no prediction.
   // Local prediction: no awaits, so Peek pointers stay valid throughout.
   // A TTL-expired image still routes the prediction (stale = too far
-  // left, recoverable) while scheduling its refresh in the batch.
+  // left, recoverable) while scheduling its refresh in the batch. Each
+  // cached hop records where its image sent the key, so DescendToLeaf
+  // can replay the hop instead of searching the image again.
   // namtree-lint: bounded-loop(speculative prediction: hop budget max_hops)
-  while (spec->num_hops < max_hops) {
+  while (spec.hops.size() < max_hops) {
     if (ptr.is_null()) co_return;  // garbage route: abandon speculation
     bool expired = false;
-    const uint8_t* img = cache->Peek(ptr.raw(), now, &expired);
+    uint32_t slot = NodeCache::kNil;
+    const uint8_t* img = cache.Peek(ptr.raw(), now, &expired, &slot);
     if (img == nullptr) {
       // Frontier: the pointer is known but its image is not. Batch the
       // page itself; prediction cannot see below it.
-      spec->AddHop(ptr.raw(), true);
+      spec.AddHop(ptr.raw(), true);
       break;
     }
     PageView v(const_cast<uint8_t*>(img), page);
     if (v.level() == 0) {
       // A leaf image under an inner-path pointer (stale root metadata):
       // treat as frontier and let validation sort it out.
-      spec->AddHop(ptr.raw(), true);
+      spec.AddHop(ptr.raw(), true);
       break;
     }
-    spec->AddHop(ptr.raw(), expired);
+    spec.AddHop(ptr.raw(), expired);
+    SpecHop& hop = spec.hops.back();
+    hop.slot = slot;
     if (v.NeedsChase(key)) {
-      ptr = rdma::RemotePtr(v.right_sibling());
+      hop.route = SpecHop::Route::kChase;
+      hop.next = v.right_sibling();
+      ptr = rdma::RemotePtr(hop.next);
       continue;
     }
-    const rdma::RemotePtr child(v.InnerChildFor(key));
+    const uint32_t i = v.InnerChildIndex(key);
+    hop.next = v.inner_children()[i];
+    hop.fence = v.InnerChildFence(i);
+    const rdma::RemotePtr child(hop.next);
     if (v.level() == 1) {
       if (child.is_null()) co_return;  // hybrid sentinel / garbage entry
-      spec->predicted_leaf = child;
-      spec->complete = true;
+      hop.route = SpecHop::Route::kLeaf;
+      spec.predicted_leaf = child;
+      spec.complete = true;
       break;
     }
+    hop.route = SpecHop::Route::kChild;
     ptr = child;
   }
-  if (!spec->complete && spec->num_hops >= max_hops) co_return;  // cycle
+  if (!spec.complete && spec.hops.size() >= max_hops) co_return;  // cycle
 
   size_t fresh_count = 0;
-  for (size_t i = 0; i < spec->num_hops; ++i) {
-    if (spec->hop(i).fresh) fresh_count++;
+  for (const SpecHop& h : spec.hops) {
+    if (h.fresh) fresh_count++;
   }
   const bool want_leaf =
-      spec->complete && prefetch != nullptr && prefetch->leaf_buf != nullptr;
-  spec->attempted = spec->complete || fresh_count > 0;
+      spec.complete && prefetch != nullptr && prefetch->leaf_buf != nullptr;
+  spec.attempted = spec.complete || fresh_count > 0;
   if (fresh_count == 0 && !want_leaf) co_return;  // pure warm-cache path
 
-  // One doorbell: every missing/expired predicted page plus the leaf.
-  spec->arena.resize(fresh_count * static_cast<size_t>(page));
-  std::vector<rdma::Fabric::ChainOp> reqs;
-  reqs.reserve(fresh_count + 1);
+  // One doorbell: every missing/expired predicted page plus the leaf. The
+  // arena only grows, so a warm client neither allocates nor zero-fills.
+  const size_t arena_bytes = fresh_count * static_cast<size_t>(page);
+  if (spec.arena.size() < arena_bytes) spec.arena.resize(arena_bytes);
+  spec.reads.clear();
   size_t slot = 0;
-  for (size_t i = 0; i < spec->num_hops; ++i) {
-    if (!spec->hop(i).fresh) continue;
-    reqs.push_back(rdma::Fabric::ChainOp::Read(
-        rdma::RemotePtr(spec->hop(i).raw), spec->arena.data() + slot * page,
-        page));
+  for (const SpecHop& h : spec.hops) {
+    if (!h.fresh) continue;
+    spec.reads.push_back(rdma::Fabric::ChainOp::Read(
+        rdma::RemotePtr(h.raw), spec.arena.data() + slot * page, page));
     slot++;
   }
   if (want_leaf) {
-    reqs.push_back(rdma::Fabric::ChainOp::Read(spec->predicted_leaf,
-                                               prefetch->leaf_buf, page));
-    spec->leaf_in_batch = true;
+    spec.reads.push_back(rdma::Fabric::ChainOp::Read(spec.predicted_leaf,
+                                                     prefetch->leaf_buf,
+                                                     page));
+    spec.leaf_in_batch = true;
   }
-  if (!(co_await ops.ReadPagesBatch(reqs)).ok()) co_return;
+  if (!(co_await ops.ReadPagesBatch(spec.reads)).ok()) co_return;
 
   // Accept only usable slots: live target server, unlocked image. A
   // locked or dropped slot simply keeps no image — validation falls back
   // to a real read there, which fails over under replication.
   slot = 0;
-  for (size_t i = 0; i < spec->num_hops; ++i) {
-    SpecHop& h = spec->hop(i);
+  for (SpecHop& h : spec.hops) {
     if (!h.fresh) continue;
-    uint8_t* img = spec->arena.data() + slot * page;
+    uint8_t* img = spec.arena.data() + slot * page;
     slot++;
     if (!ops.fabric().ServerAlive(rdma::RemotePtr(h.raw).server_id())) {
       continue;
@@ -189,10 +204,9 @@ DescentResult TraversalEngine::PredictLeaf(uint32_t client_id,
   if (trees_[tree].root_level == 0) {
     return DescentResult{Status::OK(), trees_[tree].root, {}};
   }
-  if (client_id >= caches_.size() || caches_[client_id] == nullptr) {
-    return none;
-  }
-  NodeCache& cache = *caches_[client_id];
+  ClientState* state = StateOf(client_id);
+  if (state == nullptr) return none;
+  NodeCache& cache = state->cache;
   rdma::RemotePtr ptr = trees_[tree].root;
   const size_t max_hops =
       static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
@@ -235,12 +249,20 @@ sim::Task<DescentResult> TraversalEngine::DescendToLeaf(
   // RTT, then let the loop below validate top-down — it consumes batch
   // images in place of remote reads and degrades to the plain
   // level-by-level descent from the first hop speculation cannot serve.
-  SpecState spec;
+  SpecState* spec = nullptr;
   if (opts_.speculative_descent &&
       opts_.cache_mode == CacheMode::kInnerImages && cache != nullptr) {
-    co_await SpeculatePath(ops, tree, key, cache, prefetch, &spec);
+    spec = &clients_[ops.ctx().client_id()]->spec;
+    spec->Reset();
+    co_await SpeculatePath(ops, tree, key, *cache, prefetch, *spec);
     if (!ops.alive()) co_return Crashed();
+    if (!spec->attempted) spec = nullptr;
   }
+  // A cached hop the prediction walked is replayed, not searched again,
+  // while the cache is unmutated since the prediction: each key then maps
+  // to the slot and image it had, so the recorded decision is the one the
+  // image would give. Without a TTL nothing expires in between either.
+  size_t replay_at = 0;
 
   rdma::RemotePtr leaf;
   bool fallback_read = false;  // a predicted hop needed a real read
@@ -248,6 +270,26 @@ sim::Task<DescentResult> TraversalEngine::DescendToLeaf(
   FenceCheck fence;
   // namtree-lint: bounded-loop(blink-descent: every step moves down a level or right along ascending fences; read failures exit)
   for (;;) {
+    if (spec != nullptr && replay_at < spec->hops.size()) {
+      const SpecHop& hop = spec->hops[replay_at++];
+      if (!hop.fresh && hop.raw == ptr.raw() && opts_.cache_ttl == 0 &&
+          cache->mutations() == spec->cache_mutations) {
+        // The cache hit Get would have scored, then the hop's decision.
+        cache->Touch(hop.slot);
+        fence = FenceCheck();
+        if (hop.route == SpecHop::Route::kChase) {
+          ptr = rdma::RemotePtr(hop.next);
+          continue;
+        }
+        fence = FenceCheck(cache, ptr.raw(), hop.fence, /*route=*/false);
+        if (hop.route == SpecHop::Route::kLeaf) {
+          leaf = rdma::RemotePtr(hop.next);
+          break;
+        }
+        ptr = rdma::RemotePtr(hop.next);
+        continue;
+      }
+    }
     // A.4 caching: inner-node images may come from the client cache; a
     // stale image can only route us too far left, which the B-link chase
     // at the next level (or leaf chain) corrects. The cache is consulted
@@ -260,16 +302,16 @@ sim::Task<DescentResult> TraversalEngine::DescendToLeaf(
       image = cache->Get(ptr.raw(), ops.fabric().simulator().now());
     }
     const bool from_cache = image != nullptr;
-    if (image == nullptr && spec.attempted) {
-      image = spec.FreshImage(ptr.raw());
+    if (image == nullptr && spec != nullptr) {
+      image = spec->FreshImage(ptr.raw());
       fresh_from_batch = image != nullptr;
     }
     if (image == nullptr) {
       const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
       if (!read.ok()) co_return Crashed();
       image = buf;
-      if (spec.attempted &&
-          (spec.complete || spec.Predicted(ptr.raw()))) {
+      if (spec != nullptr &&
+          (spec->complete || spec->Predicted(ptr.raw()))) {
         // Below an incomplete prediction's frontier real reads are the
         // plan, not a mispredict; on a predicted hop (or anywhere under a
         // complete prediction) they mean speculation failed here.
@@ -315,20 +357,20 @@ sim::Task<DescentResult> TraversalEngine::DescendToLeaf(
     ptr = child;
   }
 
-  if (spec.attempted) {
+  if (spec != nullptr) {
     bool leaf_usable = false;
-    if (spec.leaf_in_batch && leaf == spec.predicted_leaf &&
+    if (spec->leaf_in_batch && leaf == spec->predicted_leaf &&
         ops.fabric().ServerAlive(leaf.server_id())) {
       uint64_t word;
       std::memcpy(&word, prefetch->leaf_buf + btree::kVersionOffset, 8);
       leaf_usable = !btree::IsLocked(word);
     }
     const bool mispredicted = fallback_read ||
-                              (spec.complete && leaf != spec.predicted_leaf) ||
-                              (spec.leaf_in_batch && !leaf_usable);
+                              (spec->complete && leaf != spec->predicted_leaf) ||
+                              (spec->leaf_in_batch && !leaf_usable);
     if (mispredicted) {
       ops.ctx().mispredicts.Inc();
-    } else if (spec.complete) {
+    } else if (spec->complete) {
       ops.ctx().speculative_hits.Inc();
     }
     if (leaf_usable) prefetch->leaf_image_valid = true;
@@ -562,11 +604,11 @@ sim::Task<DescentResult> TraversalEngine::ResolveLeaf(nam::ClientContext& ctx,
 DescentResult TraversalEngine::PredictRoute(uint32_t client_id, Key key,
                                             SimTime now) const {
   DescentResult result{Status::OK(), rdma::RemotePtr::Null(), {}};
-  if (opts_.cache_mode != CacheMode::kLeafRoutes ||
-      client_id >= caches_.size() || caches_[client_id] == nullptr) {
+  ClientState* state = StateOf(client_id);
+  if (opts_.cache_mode != CacheMode::kLeafRoutes || state == nullptr) {
     return result;
   }
-  NodeCache* cache = caches_[client_id].get();
+  NodeCache* cache = &state->cache;
   bool expired = false;
   const uint8_t* image = cache->Peek(key, now, &expired);
   if (image == nullptr || expired) return result;

@@ -1,7 +1,6 @@
 #ifndef NAMTREE_INDEX_TRAVERSAL_H_
 #define NAMTREE_INDEX_TRAVERSAL_H_
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -130,7 +129,8 @@ class TraversalEngine {
                                                  btree::Key key) = 0;
   };
 
-  explicit TraversalEngine(Options opts) : opts_(opts) {}
+  explicit TraversalEngine(Options opts)
+      : opts_(opts), pool_(opts.page_size) {}
 
   // ---- Root policy: the tree table ----------------------------------------
 
@@ -213,6 +213,9 @@ class TraversalEngine {
 
   CacheStats GetCacheStats() const;
 
+  /// The page images every client cache shares (kInnerImages).
+  const ImagePool& image_pool() const { return pool_; }
+
  private:
   struct Tree {
     rdma::RemotePtr root;
@@ -239,68 +242,92 @@ class TraversalEngine {
 
   /// One page the local prediction walked through.
   struct SpecHop {
+    /// How the prediction left a cached hop's image.
+    enum class Route : uint8_t {
+      kChase,  ///< to the right sibling `next`
+      kChild,  ///< down to inner child `next`, promising `fence`
+      kLeaf,   ///< to leaf `next` (a level-1 image), promising `fence`
+    };
     uint64_t raw = 0;
     bool fresh = false;  ///< missing or TTL-expired: rides the batch
     /// The batch image (a page-granular slot of SpecState::arena) once
     /// accepted: its target was alive and the image arrived unlocked.
     uint8_t* image = nullptr;
+    /// A cached hop's routing decision, replayed by DescendToLeaf while
+    /// the cache is unmutated: the image's slot and where it sent `key`.
+    uint32_t slot = NodeCache::kNil;
+    Route route = Route::kChase;
+    uint64_t next = 0;
+    btree::Key fence = 0;
   };
 
   /// The predicted path of one speculative descent and the images its
   /// batch fetched. A path is at most 2 * root_level + 8 hops, so it is
-  /// searched linearly. A healthy path is root_level hops and stays
-  /// inline up to root_level 4; longer paths spill to the heap. (The
-  /// state lives in every descent's coroutine frame, speculative or not,
-  /// so the inline part is kept small.)
+  /// searched linearly. Each client keeps one, reused by every descent
+  /// (a client runs one descent at a time), so a warm descent allocates
+  /// nothing: `hops`, `arena` and `reads` keep their capacity.
   struct SpecState {
-    std::array<SpecHop, 4> inline_hops;
-    std::vector<SpecHop> spill_hops;
-    size_t num_hops = 0;
+    std::vector<SpecHop> hops;
     std::vector<uint8_t> arena;
+    std::vector<rdma::Fabric::ChainOp> reads;
     bool attempted = false;       ///< a prediction (with or w/o batch) ran
     bool complete = false;        ///< prediction reached a leaf pointer
     bool leaf_in_batch = false;   ///< predicted leaf rode the batch
     rdma::RemotePtr predicted_leaf;
+    /// NodeCache::mutations() when the prediction ran.
+    uint64_t cache_mutations = 0;
 
-    SpecHop& hop(size_t i) {
-      return i < inline_hops.size() ? inline_hops[i]
-                                    : spill_hops[i - inline_hops.size()];
+    void Reset() {
+      hops.clear();
+      attempted = complete = leaf_in_batch = false;
+      predicted_leaf = rdma::RemotePtr::Null();
     }
-    void AddHop(uint64_t raw, bool fresh) {
-      if (num_hops < inline_hops.size()) {
-        inline_hops[num_hops] = {raw, fresh, nullptr};
-      } else {
-        spill_hops.push_back({raw, fresh, nullptr});
-      }
-      num_hops++;
-    }
+    void AddHop(uint64_t raw, bool fresh) { hops.push_back({raw, fresh}); }
     /// The first accepted batch image of `raw`, or nullptr.
-    uint8_t* FreshImage(uint64_t raw) {
-      for (size_t i = 0; i < num_hops; ++i) {
-        if (hop(i).raw == raw && hop(i).image != nullptr) return hop(i).image;
+    uint8_t* FreshImage(uint64_t raw) const {
+      for (const SpecHop& h : hops) {
+        if (h.raw == raw && h.image != nullptr) return h.image;
       }
       return nullptr;
     }
     /// Whether the prediction walked through page `raw`.
-    bool Predicted(uint64_t raw) {
-      for (size_t i = 0; i < num_hops; ++i) {
-        if (hop(i).raw == raw) return true;
+    bool Predicted(uint64_t raw) const {
+      for (const SpecHop& h : hops) {
+        if (h.raw == raw) return true;
       }
       return false;
     }
+  };
+
+  /// What the engine keeps per client id: the cache (inner images or leaf
+  /// routes) and the speculative-descent scratch state.
+  struct ClientState {
+    ClientState(uint32_t entry_size, size_t pages, SimTime ttl,
+                ImagePool* pool)
+        : cache(entry_size, pages, ttl, pool) {}
+    NodeCache cache;
+    SpecState spec;
   };
 
   /// The predict→batch half of a speculative descent: walks cached images
   /// locally (Peek — no cache mutation), then issues one doorbell-batched
   /// READ for the missing/expired prefix plus (optionally) the leaf.
   sim::Task<void> SpeculatePath(RemoteOps& ops, uint32_t tree,
-                                btree::Key key, NodeCache* cache,
-                                DescentPrefetch* prefetch, SpecState* spec);
+                                btree::Key key, NodeCache& cache,
+                                DescentPrefetch* prefetch, SpecState& spec);
+
+  /// The client's state, or nullptr while it has never used its cache.
+  ClientState* StateOf(uint32_t client_id) const {
+    return client_id < clients_.size() ? clients_[client_id].get() : nullptr;
+  }
 
   Options opts_;
   std::vector<Tree> trees_;
+  /// Every client cache's page images (kInnerImages), stored once per
+  /// (page, content). Declared before clients_, so it outlives them.
+  ImagePool pool_;
   /// Indexed by client id; null until the client first uses its cache.
-  std::vector<std::unique_ptr<NodeCache>> caches_;
+  std::vector<std::unique_ptr<ClientState>> clients_;
 };
 
 }  // namespace namtree::index

@@ -659,18 +659,12 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
         return op.kind != ChainOp::Kind::kRead;
       });
 
-  struct Member {
-    NetFault fault;
-    SimTime effect = 0;
-    uint64_t audit_ticket = 0;  ///< WRITEs only; 0 is a no-op to DropWrite
-    size_t index = 0;
-    bool bus_only = false;  ///< co-located READ/WRITE off the NIC
-  };
-  // A standalone verb keeps its one member in the frame: no allocation.
-  Member first;
-  std::vector<Member> rest(ops.size() > 1 ? ops.size() : 0);
-  const std::span<Member> members =
-      rest.empty() ? std::span<Member>(&first, 1) : std::span<Member>(rest);
+  // A standalone verb keeps its one member in the frame; a chain leases a
+  // recycled array. Neither allocates once the pool is warm.
+  PostMember first;
+  MemberLease rest(member_pool_, ops.size() > 1 ? ops.size() : 0);
+  const std::span<PostMember> members =
+      ops.size() > 1 ? rest.span() : std::span<PostMember>(&first, 1);
 
   // Draw, route and reserve every member at post time. A chain completes
   // no earlier than its post; a standalone verb when its completion
@@ -687,7 +681,7 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
   SimTime prev_effect = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
     const ChainOp& op = ops[i];
-    Member& m = members[i];
+    PostMember& m = members[i];
     m.index = i;
     const uint32_t sid = op.target.server_id();
     if (profile.net_faults && NetFaultsLive()) {
@@ -758,7 +752,7 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
   SortByEffect(members);
   uint64_t value = 0;
   for (size_t mi = 0; mi < members.size(); ++mi) {
-    const Member& m = members[mi];
+    const PostMember& m = members[mi];
     const ChainOp& op = ops[m.index];
     co_await sim::DelayUntil(simulator_, m.effect);
     // The epoch probe reports the subject's liveness whatever the reader's.

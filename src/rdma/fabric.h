@@ -618,6 +618,49 @@ class Fabric {
   /// can force an atomic duplicate.
   NetFault DrawNetFault(uint32_t client, uint32_t server, bool is_atomic);
 
+  /// One member's post-time state inside Post: its fault draw, effect
+  /// instant and audit ticket, sorted by effect before the effects run.
+  struct PostMember {
+    NetFault fault;
+    SimTime effect = 0;
+    uint64_t audit_ticket = 0;  ///< WRITEs only; 0 is a no-op to DropWrite
+    size_t index = 0;
+    bool bus_only = false;  ///< co-located READ/WRITE off the NIC
+  };
+
+  /// A multi-member post's member array, leased from the fabric's recycled
+  /// pool on entry and handed back when the lease dies, on whatever path
+  /// Post leaves by. Chain posts then allocate only while the pool grows
+  /// to the peak number of chains in flight, and Post's coroutine frame
+  /// keeps one vector's footprint (an inline array made it larger, and
+  /// every standalone verb slower).
+  class MemberLease {
+   public:
+    /// Leases nothing for n == 0 (a standalone verb).
+    MemberLease(std::vector<std::vector<PostMember>>& pool, size_t n)
+        : pool_(pool) {
+      if (n == 0) return;
+      if (!pool_.empty()) {
+        members_ = std::move(pool_.back());
+        pool_.pop_back();
+      }
+      members_.resize(n);
+    }
+    ~MemberLease() {
+      if (members_.capacity() == 0) return;  // nothing leased
+      members_.clear();
+      pool_.push_back(std::move(members_));
+    }
+    MemberLease(const MemberLease&) = delete;
+    MemberLease& operator=(const MemberLease&) = delete;
+
+    std::span<PostMember> span() { return members_; }
+
+   private:
+    std::vector<std::vector<PostMember>>& pool_;
+    std::vector<PostMember> members_;
+  };
+
   /// How one post is charged and resolved. The profile is data, picked by
   /// the entry point; its fields keep the historical differences between
   /// standalone verbs and chain members exactly (docs/simulator.md, "Verb
@@ -824,6 +867,8 @@ class Fabric {
     std::shared_ptr<PendingRead> pending;  ///< combining only
   };
   std::vector<std::vector<InflightRead>> inflight_reads_;
+  /// Recycled member arrays of multi-member posts (MemberLease).
+  std::vector<std::vector<PostMember>> member_pool_;
   /// Pinned in-place images (see PinImage); nullptr = empty bucket.
   std::vector<InPlaceImage*> pin_table_;
   uint32_t pin_mask_ = 0;

@@ -57,8 +57,9 @@ SimTime Simulator::Run() {
     Event ev = queue_.top();
     queue_.pop();
     // A cancelled event is discarded without touching the clock: a disarmed
-    // far-future timer must not stretch the run's final virtual time.
-    if (cancelled_.erase(ev.seq) != 0) continue;
+    // far-future timer must not stretch the run's final virtual time. Most
+    // runs cancel nothing, so the hash probe is skipped while none is armed.
+    if (!cancelled_.empty() && cancelled_.erase(ev.seq) != 0) continue;
     now_ = ev.time;
     events_processed_++;
     ev.handle.resume();
@@ -70,7 +71,7 @@ bool Simulator::RunUntil(SimTime deadline) {
   while (!queue_.empty() && queue_.top().time <= deadline) {
     Event ev = queue_.top();
     queue_.pop();
-    if (cancelled_.erase(ev.seq) != 0) continue;
+    if (!cancelled_.empty() && cancelled_.erase(ev.seq) != 0) continue;
     now_ = ev.time;
     events_processed_++;
     ev.handle.resume();

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <list>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "index/coarse_one_sided.h"
 #include "index/fine_grained.h"
 #include "index/hybrid.h"
+#include "index/inspector.h"
 #include "index/node_cache.h"
 #include "nam/cluster.h"
 #include "rdma/remote_ptr.h"
@@ -32,7 +34,8 @@ using sim::Spawn;
 using sim::Task;
 
 TEST(NodeCacheTest, HitAfterPut) {
-  NodeCache cache(64, 4, 0);
+  ImagePool pool(64);
+  NodeCache cache(64, 4, 0, &pool);
   std::vector<uint8_t> image(64, 0xAB);
   EXPECT_EQ(cache.Get(1, 0), nullptr);
   cache.Put(1, image.data(), 0);
@@ -236,7 +239,8 @@ void RunDifferential(KeyShape shape, size_t capacity, SimTime ttl,
                << " capacity=" << capacity << " ttl=" << ttl
                << " seed=" << seed);
   const uint32_t page_size = shape == KeyShape::kRoute ? 8 : 64;
-  NodeCache cache(page_size, capacity, ttl);
+  ImagePool pool(page_size);  // routes stay in the slots and ignore it
+  NodeCache cache(page_size, capacity, ttl, &pool);
   ReferenceCache model(page_size, capacity, ttl);
   Rng rng(seed);
   // A key universe twice the capacity (at least 8 keys), so hits, misses
@@ -318,6 +322,165 @@ TEST(NodeCacheTest, MatchesReferenceModelOnRouteKeys) {
   }
 }
 
+// ---- Shared image pool -------------------------------------------------------
+
+/// Two caches interning into one ImagePool, driven with interleaved random
+/// Put/Get/Peek/Invalidate on overlapping keys, each against its own
+/// reference model. Images are drawn from a few versions per key, so the
+/// caches often hold the same bytes for a page and share its block. After
+/// every step, whatever the other cache returned before the step must
+/// still read the same: one cache's Put or Invalidate never changes the
+/// bytes the other hands out.
+void RunSharedDifferential(size_t capacity, SimTime ttl, uint64_t seed,
+                           size_t steps) {
+  SCOPED_TRACE(testing::Message() << "capacity=" << capacity << " ttl=" << ttl
+                                  << " seed=" << seed);
+  constexpr uint32_t kPage = 64;
+  ImagePool pool(kPage);
+  NodeCache caches[2] = {{kPage, capacity, ttl, &pool},
+                         {kPage, capacity, ttl, &pool}};
+  ReferenceCache models[2] = {{kPage, capacity, ttl}, {kPage, capacity, ttl}};
+  Rng rng(seed);
+  const uint64_t universe = std::max<uint64_t>(8, 2 * capacity);
+  auto key_at = [](uint64_t i) {
+    return rdma::RemotePtr::Make(static_cast<uint32_t>(i % 4),
+                                 (i / 4) * 1024 + 4096)
+        .raw();
+  };
+  std::vector<uint8_t> image(kPage);
+  SimTime now = 0;
+  size_t peak_shared = 0;  // most references beyond one per image
+  for (size_t step = 0; step < steps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    now += rng.NextBelow(ttl > 0 ? ttl / 4 : 100);
+    const size_t c = rng.NextBelow(2);
+    const size_t other = 1 - c;
+    const uint64_t key = key_at(rng.NextBelow(universe));
+    // What the other cache serves for this key before the step.
+    bool other_expired = false;
+    const uint8_t* other_ptr = caches[other].Peek(key, now, &other_expired);
+    std::vector<uint8_t> other_bytes;
+    if (other_ptr != nullptr) other_bytes.assign(other_ptr, other_ptr + kPage);
+
+    const uint64_t op = rng.NextBelow(16);
+    if (op < 7) {
+      const uint64_t version = rng.NextBelow(3);
+      for (uint32_t b = 0; b < kPage; ++b) {
+        image[b] = static_cast<uint8_t>(key * 7 + version * 31 + b);
+      }
+      caches[c].Put(key, image.data(), now);
+      models[c].Put(key, image.data(), now);
+    } else if (op < 12) {
+      const uint8_t* got = caches[c].Get(key, now);
+      const uint8_t* want = models[c].Get(key, now);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "Get(" << key << ")";
+      if (got != nullptr) {
+        ASSERT_EQ(std::memcmp(got, want, kPage), 0);
+      }
+    } else if (op < 15) {
+      bool got_expired = false;
+      bool want_expired = false;
+      const uint8_t* got = caches[c].Peek(key, now, &got_expired);
+      const uint8_t* want = models[c].Peek(key, now, &want_expired);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "Peek(" << key << ")";
+      ASSERT_EQ(got_expired, want_expired);
+      if (got != nullptr) {
+        ASSERT_EQ(std::memcmp(got, want, kPage), 0);
+      }
+    } else {
+      caches[c].Invalidate(key);
+      models[c].Invalidate(key);
+    }
+
+    if (other_ptr != nullptr) {
+      // The other cache was not mutated, so its pointer is still valid.
+      ASSERT_EQ(std::memcmp(other_ptr, other_bytes.data(), kPage), 0)
+          << "cache " << c << "'s step changed cache " << other
+          << "'s image of " << key;
+    }
+    for (size_t i = 0; i < 2; ++i) {
+      SCOPED_TRACE(testing::Message() << "cache " << i);
+      ASSERT_EQ(caches[i].hits(), models[i].hits);
+      ASSERT_EQ(caches[i].misses(), models[i].misses);
+      ASSERT_EQ(caches[i].expirations(), models[i].expirations);
+      ASSERT_EQ(caches[i].invalidations(), models[i].invalidations);
+      ASSERT_EQ(caches[i].size(), models[i].size());
+      ASSERT_EQ(caches[i].LruKeys(), models[i].LruKeys());
+    }
+    // Every entry holds exactly one reference, and a block is shared only
+    // by entries of one page.
+    ASSERT_EQ(pool.refs(), caches[0].size() + caches[1].size());
+    ASSERT_LE(pool.images(), pool.refs());
+    peak_shared = std::max(peak_shared, pool.refs() - pool.images());
+  }
+  EXPECT_GT(peak_shared, 0u) << "the caches never shared an image";
+}
+
+TEST(NodeCacheTest, MatchesReferenceModelWithSharedPool) {
+  for (const size_t capacity : {1, 2, 7, 64}) {
+    for (const SimTime ttl : {SimTime{0}, SimTime{1000}}) {
+      RunSharedDifferential(capacity, ttl, 37 + capacity, 4000);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(NodeCacheTest, SharedPoolStoresIdenticalImagesOnce) {
+  ImagePool pool(64);
+  NodeCache a(64, 4, 0, &pool);
+  NodeCache b(64, 4, 0, &pool);
+  std::vector<uint8_t> v1(64, 1);
+  std::vector<uint8_t> v2(64, 2);
+  a.Put(1, v1.data(), 0);
+  b.Put(1, v1.data(), 0);
+  EXPECT_EQ(pool.images(), 1u);
+  EXPECT_EQ(pool.refs(), 2u);
+  EXPECT_EQ(a.Get(1, 0), b.Get(1, 0)) << "identical images share a block";
+  // Same bytes under another page are a different image.
+  a.Put(2, v1.data(), 0);
+  EXPECT_EQ(pool.images(), 2u);
+  // b moves to a newer version of page 1; a keeps the old one.
+  b.Put(1, v2.data(), 0);
+  EXPECT_EQ(pool.images(), 3u);
+  EXPECT_EQ(a.Get(1, 0)[0], 1);
+  EXPECT_EQ(b.Get(1, 0)[0], 2);
+  a.Invalidate(1);
+  a.Invalidate(2);
+  EXPECT_EQ(pool.images(), 1u);
+  EXPECT_EQ(pool.refs(), 1u);
+  const size_t blocks = pool.blocks();
+  a.Put(3, v2.data(), 0);
+  EXPECT_EQ(pool.blocks(), blocks) << "a released block is recycled";
+}
+
+#if NAMTREE_AUDIT
+TEST(NodeCacheDeathTest, WriteThroughReturnedImageTripsAuditGuard) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<uint8_t> image(64, 5);
+  // Unmodified, the same sequence releases cleanly.
+  {
+    ImagePool pool(64);
+    NodeCache cache(64, 4, 0, &pool);
+    cache.Put(1, image.data(), 0);
+    ASSERT_NE(cache.Get(1, 0), nullptr);
+    cache.Invalidate(1);
+    EXPECT_EQ(pool.images(), 0u);
+  }
+  EXPECT_DEATH(
+      {
+        ImagePool pool(64);
+        NodeCache cache(64, 4, 0, &pool);
+        cache.Put(1, image.data(), 0);
+        const uint8_t* got = cache.Get(1, 0);
+        // A caller that casts the read-only image writable and patches it
+        // would change the page under every client sharing the block.
+        const_cast<uint8_t*>(got)[3] ^= 1;
+        cache.Invalidate(1);  // the release verifies the checksum
+      },
+      "written through a read-only cache pointer");
+}
+#endif
+
 // ---- Cached fine-grained index ----------------------------------------------
 
 Task<> LookupLoop(DistributedIndex& index, ClientContext& ctx, int rounds,
@@ -354,6 +517,69 @@ TEST(CachedFineGrainedTest, CacheCutsRoundTripsWithoutMisses) {
       << "a warmed cache must serve most inner reads";
   // With all inner levels cached, steady-state lookups need ~1 read each.
   EXPECT_LT(static_cast<double>(ctx.round_trips), 2000 * 2.2);
+}
+
+TEST(CachedFineGrainedTest, WarmClientsShareOneImagePerInnerPage) {
+  // Every client walks every key of a static tree with speculative descent
+  // on, so each caches every inner page. The pool then holds each page's
+  // image once, every client's entry points at that one copy, and the hit
+  // counts are what private caches give: one miss per inner page and
+  // client, and a hit on every other inner hop.
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 4;
+  Cluster cluster(fc, 64 << 20);
+  IndexConfig ic;
+  ic.page_size = 256;
+  ic.client_cache_pages = 4096;
+  ic.speculative_descent = true;
+  FineGrainedIndex index(cluster, ic);
+  const uint64_t keys = 4000;
+  std::vector<KV> data;
+  for (uint64_t i = 0; i < keys; ++i) data.push_back({i * 2, i});
+  ASSERT_TRUE(index.BulkLoad(data).ok());
+  ASSERT_GE(index.root_level(), 2u);
+  const uint64_t inner_pages =
+      IndexInspector::Inspect(cluster.fabric(), index).inner_pages;
+
+  constexpr uint32_t kClients = 8;
+  cluster.fabric().SetNumClients(kClients);
+  struct Walk {
+    static Task<> Go(FineGrainedIndex& index, ClientContext& ctx,
+                     uint64_t keys, uint64_t* found) {
+      for (uint64_t i = 0; i < keys; ++i) {
+        if ((co_await index.Lookup(ctx, i * 2)).found) (*found)++;
+      }
+    }
+  };
+  std::vector<std::unique_ptr<ClientContext>> ctxs;
+  std::vector<uint64_t> found(kClients, 0);
+  for (uint32_t c = 0; c < kClients; ++c) {
+    ctxs.push_back(std::make_unique<ClientContext>(c, cluster.fabric(),
+                                                   ic.page_size, c + 1));
+    Spawn(cluster.simulator(), Walk::Go(index, *ctxs[c], keys, &found[c]));
+  }
+  cluster.simulator().Run();
+
+  const ImagePool& pool = index.image_pool();
+  EXPECT_EQ(pool.images(), inner_pages);
+  EXPECT_EQ(pool.refs(), kClients * inner_pages);
+  uint64_t speculative_hits = 0;
+  for (uint32_t c = 0; c < kClients; ++c) {
+    SCOPED_TRACE(testing::Message() << "client " << c);
+    EXPECT_EQ(found[c], keys);
+    NodeCache* cache = index.CacheFor(c);
+    EXPECT_EQ(cache->size(), inner_pages);
+    EXPECT_EQ(cache->misses(), inner_pages);
+    EXPECT_EQ(cache->hits() + cache->misses(), keys * index.root_level());
+    for (const uint64_t page : cache->LruKeys()) {
+      bool expired = false;
+      EXPECT_EQ(cache->Peek(page, 0, &expired),
+                index.CacheFor(0)->Peek(page, 0, &expired))
+          << "page " << page << " is not the shared image";
+    }
+    speculative_hits += ctxs[c]->speculative_hits.value();
+  }
+  EXPECT_GT(speculative_hits, 0u) << "no warm descent replayed its walk";
 }
 
 TEST(CachedFineGrainedTest, StaleCacheStaysCorrectUnderInserts) {
