@@ -13,6 +13,95 @@
 
 namespace namtree::index {
 
+/// Open-addressed table of 32-bit handles into an owner's array (Fibonacci
+/// hash, linear probing, backward-shift erase, load factor <= 1/2): the
+/// index of NodeCache's slots and of ImagePool's blocks. The owner keeps
+/// each handle's key; every member takes a `key_of(handle)` accessor for
+/// it. Several handles may share a key, and then one probe run.
+class HandleTable {
+ public:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  size_t size() const { return size_; }
+  /// The handle at table position `pos`.
+  uint32_t operator[](uint32_t pos) const { return table_[pos]; }
+
+  /// Position of the first handle `h` of `key`'s probe run with
+  /// key_of(h) == key and match(h), or kNil.
+  template <typename KeyOf, typename Match>
+  uint32_t Find(uint64_t key, KeyOf key_of, Match match) const {
+    if (table_.empty()) return kNil;
+    // The table is at most half full, so the probe meets an empty bucket.
+    for (uint32_t pos = Home(key);; pos = (pos + 1) & mask_) {
+      const uint32_t h = table_[pos];
+      if (h == kNil) return kNil;
+      if (key_of(h) == key && match(h)) return pos;
+    }
+  }
+  template <typename KeyOf>
+  uint32_t Find(uint64_t key, KeyOf key_of) const {
+    return Find(key, key_of, [](uint32_t) { return true; });
+  }
+
+  /// Adds handle `h`, doubling the table first when the insert would push
+  /// the load factor past 1/2.
+  template <typename KeyOf>
+  void Insert(uint32_t h, KeyOf key_of) {
+    if (2 * (size_ + 1) > table_.size()) Rehash(key_of);
+    Place(h, key_of);
+    size_++;
+  }
+
+  /// Removes the handle at position `pos`, closing the probe gap by
+  /// shifting later members of the run back (no tombstones).
+  template <typename KeyOf>
+  void EraseAt(uint32_t pos, KeyOf key_of) {
+    size_--;
+    uint32_t hole = pos;
+    for (uint32_t i = (hole + 1) & mask_; table_[i] != kNil;
+         i = (i + 1) & mask_) {
+      // Entry i may fill the hole unless its home lies in (hole, i].
+      const uint32_t home = Home(key_of(table_[i]));
+      if (((i - home) & mask_) >= ((i - hole) & mask_)) {
+        table_[hole] = table_[i];
+        hole = i;
+      }
+    }
+    table_[hole] = kNil;
+  }
+
+ private:
+  /// Home bucket: the top bits of the key times 2^64/phi.
+  uint32_t Home(uint64_t key) const {
+    return static_cast<uint32_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  /// Stores `h` in the first empty bucket of its probe run.
+  template <typename KeyOf>
+  void Place(uint32_t h, KeyOf key_of) {
+    uint32_t pos = Home(key_of(h));
+    while (table_[pos] != kNil) pos = (pos + 1) & mask_;
+    table_[pos] = h;
+  }
+
+  template <typename KeyOf>
+  void Rehash(KeyOf key_of) {
+    std::vector<uint32_t> old = std::move(table_);
+    const size_t buckets = old.empty() ? 16 : 2 * old.size();
+    table_.assign(buckets, kNil);
+    mask_ = static_cast<uint32_t>(buckets - 1);
+    shift_ = 64 - __builtin_ctzll(buckets);
+    for (const uint32_t h : old) {
+      if (h != kNil) Place(h, key_of);
+    }
+  }
+
+  std::vector<uint32_t> table_;  ///< handle per bucket, kNil = empty
+  uint32_t mask_ = 0;
+  uint32_t shift_ = 64;
+  size_t size_ = 0;
+};
+
 /// Reference-counted store of client-cache page images, shared by every
 /// NodeCache of one TraversalEngine (docs/traversal.md, "Cache layout").
 /// Clients of one index cache the same few hundred inner pages, so an
@@ -23,17 +112,15 @@ namespace namtree::index {
 ///
 /// Storage is flat: block metadata in one vector, images in fixed-size
 /// chunks that never move, free blocks on a list linked through the
-/// metadata, and an open-addressed table of block indices keyed by page
-/// (Fibonacci hash, linear probing, backward-shift erase, load factor
-/// <= 1/2). Stale and fresh images of one page can coexist, so a page may
-/// own several entries of one probe run.
+/// metadata, and a HandleTable of blocks keyed by page. Stale and fresh
+/// images of one page can coexist, so a page may own several blocks.
 ///
 /// Audited builds keep a checksum of every block, taken at intern time and
 /// verified at each release: a write through a pointer a cache returned
 /// would change the image under every client sharing it, and aborts there.
 class ImagePool {
  public:
-  static constexpr uint32_t kNil = UINT32_MAX;
+  static constexpr uint32_t kNil = HandleTable::kNil;
 
   explicit ImagePool(uint32_t image_size) : image_size_(image_size) {}
   ImagePool(const ImagePool&) = delete;
@@ -41,7 +128,7 @@ class ImagePool {
 
   uint32_t image_size() const { return image_size_; }
   /// Distinct images held: blocks with at least one reference.
-  size_t images() const { return live_; }
+  size_t images() const { return table_.size(); }
   /// References held across all blocks.
   size_t refs() const { return refs_; }
   /// Blocks ever allocated, live or free: the pool's footprint in images.
@@ -51,17 +138,12 @@ class ImagePool {
   /// image gains a reference, otherwise the bytes are copied into a block.
   uint32_t Intern(uint64_t page, const uint8_t* bytes) {
     refs_++;
-    if (!table_.empty()) {
-      // The table is at most half full, so the probe meets an empty bucket.
-      for (uint32_t pos = Home(page);; pos = (pos + 1) & mask_) {
-        const uint32_t b = table_[pos];
-        if (b == kNil) break;
-        if (blocks_[b].page == page &&
-            std::memcmp(Data(b), bytes, image_size_) == 0) {
-          blocks_[b].refs++;
-          return b;
-        }
-      }
+    const uint32_t pos = table_.Find(page, PageOf{this}, [&](uint32_t b) {
+      return std::memcmp(Data(b), bytes, image_size_) == 0;
+    });
+    if (pos != kNil) {
+      blocks_[table_[pos]].refs++;
+      return table_[pos];
     }
     const uint32_t b = AllocBlock();
     std::memcpy(Data(b), bytes, image_size_);
@@ -70,9 +152,7 @@ class ImagePool {
 #if NAMTREE_AUDIT
     blocks_[b].checksum = Checksum(b);
 #endif
-    if (2 * (live_ + 1) > table_.size()) Rehash();
-    Place(b);
-    live_++;
+    table_.Insert(b, PageOf{this});
     return b;
   }
 
@@ -91,10 +171,12 @@ class ImagePool {
 #endif
     refs_--;
     if (--blk.refs > 0) return;
-    Erase(block);
+    table_.EraseAt(
+        table_.Find(blk.page, PageOf{this},
+                    [block](uint32_t b) { return b == block; }),
+        PageOf{this});
     blk.next_free = free_;
     free_ = block;
-    live_--;
   }
 
   const uint8_t* data(uint32_t block) const { return Data(block); }
@@ -110,6 +192,12 @@ class ImagePool {
 #if NAMTREE_AUDIT
     uint64_t checksum = 0;
 #endif
+  };
+
+  /// The table's key of a block: its page.
+  struct PageOf {
+    const ImagePool* pool;
+    uint64_t operator()(uint32_t b) const { return pool->blocks_[b].page; }
   };
 
   uint8_t* Data(uint32_t block) const {
@@ -128,44 +216,6 @@ class ImagePool {
     return h;
   }
 #endif
-
-  uint32_t Home(uint64_t page) const {
-    return static_cast<uint32_t>((page * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  void Place(uint32_t block) {
-    uint32_t pos = Home(blocks_[block].page);
-    while (table_[pos] != kNil) pos = (pos + 1) & mask_;
-    table_[pos] = block;
-  }
-
-  void Rehash() {
-    std::vector<uint32_t> old = std::move(table_);
-    const size_t buckets = old.empty() ? 16 : 2 * old.size();
-    table_.assign(buckets, kNil);
-    mask_ = static_cast<uint32_t>(buckets - 1);
-    shift_ = 64 - __builtin_ctzll(buckets);
-    for (const uint32_t b : old) {
-      if (b != kNil) Place(b);
-    }
-  }
-
-  /// Removes `block` from the table, closing the probe gap by shifting
-  /// later members of the run back (no tombstones).
-  void Erase(uint32_t block) {
-    uint32_t hole = Home(blocks_[block].page);
-    while (table_[hole] != block) hole = (hole + 1) & mask_;
-    for (uint32_t i = (hole + 1) & mask_; table_[i] != kNil;
-         i = (i + 1) & mask_) {
-      // Entry i may fill the hole unless its home lies in (hole, i].
-      const uint32_t home = Home(blocks_[table_[i]].page);
-      if (((i - home) & mask_) >= ((i - hole) & mask_)) {
-        table_[hole] = table_[i];
-        hole = i;
-      }
-    }
-    table_[hole] = kNil;
-  }
 
   /// A free block, recycling released ones first; a block past the last
   /// chunk allocates the next chunk.
@@ -187,11 +237,8 @@ class ImagePool {
   uint32_t image_size_;
   std::vector<Block> blocks_;
   std::vector<std::unique_ptr<uint8_t[]>> chunks_;
-  std::vector<uint32_t> table_;  ///< block index per bucket, kNil = empty
-  uint32_t mask_ = 0;
-  uint32_t shift_ = 64;
+  HandleTable table_;  ///< live blocks, keyed by page
   uint32_t free_ = kNil;  ///< head of the free-block list
-  size_t live_ = 0;
   size_t refs_ = 0;
 };
 
@@ -215,30 +262,41 @@ class ImagePool {
 /// Eviction is LRU over a fixed page budget.
 ///
 /// Storage is flat so a warm lookup neither chases pointers nor allocates
-/// (docs/traversal.md, "Cache layout"): entries live in a slot array, an
-/// open-addressed table of slot indices finds them (Fibonacci hash, linear
-/// probing, backward-shift erase, load factor <= 1/2), and the LRU list is
-/// linked through slot indices. Page images are interned in an ImagePool
+/// (docs/traversal.md, "Cache layout"): entries live in a slot array, a
+/// HandleTable of slots finds them, and the LRU list is linked through
+/// slot indices. An image cache interns its page images in an ImagePool
 /// shared with the other clients' caches, and a slot holds its image's
-/// pool block. Entries of at most 8 bytes (leaf routes) live in the slot
-/// itself: a pool reference would be as large as the entry and cost a
-/// probe on every Put.
+/// pool block. A cache of entries of at most 8 bytes (leaf routes) keeps
+/// them in the slots themselves: a pool reference would be as large as the
+/// entry and cost a probe on every Put.
 class NodeCache {
  public:
   /// Slot handle returned by Peek; kNil when absent.
-  static constexpr uint32_t kNil = UINT32_MAX;
+  static constexpr uint32_t kNil = HandleTable::kNil;
+  /// Largest entry a cache without a pool holds.
+  static constexpr uint32_t kInlineBytes = 8;
 
-  /// `pool` stores the images of page-sized entries and must outlive the
-  /// cache; entries of at most 8 bytes need none.
-  NodeCache(uint32_t page_size, size_t capacity_pages, SimTime ttl,
-            ImagePool* pool = nullptr)
-      : page_size_(page_size),
+  /// A cache of `entry_size`-byte entries (at most kInlineBytes) kept in
+  /// the slots. Aborts on a larger size, in every build type.
+  NodeCache(uint32_t entry_size, size_t capacity_pages, SimTime ttl)
+      : page_size_(entry_size),
         capacity_(capacity_pages),
         ttl_(ttl),
-        pool_(page_size > kInlineBytes ? pool : nullptr) {
-    assert(page_size_ <= kInlineBytes ||
-           (pool_ != nullptr && pool_->image_size() == page_size_));
+        pool_(nullptr) {
+    if (entry_size > kInlineBytes) {
+      std::fprintf(stderr,
+                   "NodeCache: %u-byte entries need an ImagePool\n",
+                   entry_size);
+      std::abort();
+    }
   }
+  /// A cache of page images (pool.image_size() bytes) interned in `pool`,
+  /// which must outlive the cache.
+  NodeCache(ImagePool& pool, size_t capacity_pages, SimTime ttl)
+      : page_size_(pool.image_size()),
+        capacity_(capacity_pages),
+        ttl_(ttl),
+        pool_(&pool) {}
   NodeCache(const NodeCache&) = delete;
   NodeCache& operator=(const NodeCache&) = delete;
   ~NodeCache() {
@@ -257,7 +315,7 @@ class NodeCache {
   uint64_t expirations() const { return expirations_; }
   /// Entries dropped by Invalidate (the fence checks' evictions).
   uint64_t invalidations() const { return invalidations_; }
-  size_t size() const { return size_; }
+  size_t size() const { return table_.size(); }
   /// Bumped by every Put and every erase (eviction, expiry, Invalidate):
   /// while it is unchanged, every key maps to the slot and image it had.
   uint64_t mutations() const { return mutations_; }
@@ -315,7 +373,7 @@ class NodeCache {
   /// replacement state bit-identical to a no-speculation run.
   std::vector<uint64_t> LruKeys() const {
     std::vector<uint64_t> keys;
-    keys.reserve(size_);
+    keys.reserve(size());
     for (uint32_t s = head_; s != kNil; s = slots_[s].next) {
       keys.push_back(slots_[s].key);
     }
@@ -345,10 +403,10 @@ class NodeCache {
         pool_->Release(static_cast<uint32_t>(slots_[slot].entry));
       }
     } else {
-      if (size_ >= capacity_) Erase(Find(slots_[tail_].key));
+      if (size() >= capacity_) Erase(Find(slots_[tail_].key));
       slot = AllocSlot();
       slots_[slot].key = ptr_raw;
-      Insert(slot);
+      table_.Insert(slot, KeyOf{this});
       LinkFront(slot);
     }
     slots_[slot].entry = entry;
@@ -364,9 +422,6 @@ class NodeCache {
   }
 
  private:
-  /// Entries up to this size live in the slot instead of the pool.
-  static constexpr uint32_t kInlineBytes = 8;
-
   struct Slot {
     uint64_t key = 0;
     SimTime loaded_at = 0;
@@ -386,51 +441,19 @@ class NodeCache {
                             : reinterpret_cast<const uint8_t*>(&entry);
   }
 
-  /// Home bucket: the top bits of the key times 2^64/phi.
-  uint32_t Home(uint64_t key) const {
-    return static_cast<uint32_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
+  /// The table's key of a slot.
+  struct KeyOf {
+    const NodeCache* cache;
+    uint64_t operator()(uint32_t slot) const {
+      return cache->slots_[slot].key;
+    }
+  };
 
   /// Table position holding `key`, or kNil.
-  uint32_t Find(uint64_t key) const {
-    if (table_.empty()) return kNil;
-    // The table is at most half full, so the probe meets an empty bucket.
-    for (uint32_t pos = Home(key);; pos = (pos + 1) & mask_) {
-      const uint32_t slot = table_[pos];
-      if (slot == kNil) return kNil;
-      if (slots_[slot].key == key) return pos;
-    }
-  }
-
-  /// Adds `slot` (key not present) to the table, doubling it first when
-  /// the insert would push the load factor past 1/2.
-  void Insert(uint32_t slot) {
-    if (2 * (size_ + 1) > table_.size()) Rehash();
-    Place(slot);
-    size_++;
-  }
-
-  /// Stores `slot` in the first empty bucket of its probe run.
-  void Place(uint32_t slot) {
-    uint32_t pos = Home(slots_[slot].key);
-    while (table_[pos] != kNil) pos = (pos + 1) & mask_;
-    table_[pos] = slot;
-  }
-
-  void Rehash() {
-    std::vector<uint32_t> old = std::move(table_);
-    const size_t buckets = old.empty() ? 16 : 2 * old.size();
-    table_.assign(buckets, kNil);
-    mask_ = static_cast<uint32_t>(buckets - 1);
-    shift_ = 64 - __builtin_ctzll(buckets);
-    for (const uint32_t slot : old) {
-      if (slot != kNil) Place(slot);
-    }
-  }
+  uint32_t Find(uint64_t key) const { return table_.Find(key, KeyOf{this}); }
 
   /// Removes the entry at table position `pos`: unlinks it from the LRU,
-  /// releases its image, frees its slot, and closes the probe gap by
-  /// shifting later members of the run back (no tombstones).
+  /// releases its image, frees its slot and drops it from the table.
   void Erase(uint32_t pos) {
     mutations_++;
     const uint32_t slot = table_[pos];
@@ -440,18 +463,7 @@ class NodeCache {
     }
     slots_[slot].next = free_;
     free_ = slot;
-    size_--;
-    uint32_t hole = pos;
-    for (uint32_t i = (hole + 1) & mask_; table_[i] != kNil;
-         i = (i + 1) & mask_) {
-      // Entry i may fill the hole unless its home lies in (hole, i].
-      const uint32_t home = Home(slots_[table_[i]].key);
-      if (((i - home) & mask_) >= ((i - hole) & mask_)) {
-        table_[hole] = table_[i];
-        hole = i;
-      }
-    }
-    table_[hole] = kNil;
+    table_.EraseAt(pos, KeyOf{this});
   }
 
   /// A free slot, reusing erased ones first.
@@ -488,16 +500,13 @@ class NodeCache {
   uint32_t page_size_;
   size_t capacity_;
   SimTime ttl_;
-  /// Set for page-sized entries; null while entries live in the slots.
+  /// Set for an image cache; null while entries live in the slots.
   ImagePool* pool_;
   std::vector<Slot> slots_;
-  std::vector<uint32_t> table_;  ///< slot index per bucket, kNil = empty
-  uint32_t mask_ = 0;
-  uint32_t shift_ = 64;
+  HandleTable table_;  ///< the cached slots, keyed by page pointer
   uint32_t head_ = kNil;  ///< most recently used
   uint32_t tail_ = kNil;  ///< least recently used: the next victim
   uint32_t free_ = kNil;  ///< head of the free-slot list
-  size_t size_ = 0;
   uint64_t mutations_ = 0;
   // namtree-lint: metric-ok(cache-local accounting surfaced through CacheStats; the cache is a value type created per context, not a registry owner)
   uint64_t hits_ = 0;

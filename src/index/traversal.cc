@@ -37,28 +37,37 @@ NodeCache* TraversalEngine::CacheFor(uint32_t client_id) {
   if (opts_.cache_mode == CacheMode::kNone || opts_.cache_pages == 0) {
     return nullptr;
   }
-  if (client_id >= clients_.size()) clients_.resize(client_id + 1);
-  std::unique_ptr<ClientState>& state = clients_[client_id];
-  if (state == nullptr) {
+  if (client_id >= caches_.size()) caches_.resize(client_id + 1);
+  std::unique_ptr<NodeCache>& cache = caches_[client_id];
+  if (cache == nullptr) {
     // Route entries are one 8-byte leaf pointer, not a page image; they
     // stay in the cache's slots.
-    const bool routes = opts_.cache_mode == CacheMode::kLeafRoutes;
-    state = std::make_unique<ClientState>(
-        routes ? 8 : opts_.page_size, opts_.cache_pages, opts_.cache_ttl,
-        routes ? nullptr : &pool_);
+    cache = opts_.cache_mode == CacheMode::kLeafRoutes
+                ? std::make_unique<NodeCache>(8, opts_.cache_pages,
+                                              opts_.cache_ttl)
+                : std::make_unique<NodeCache>(pool_, opts_.cache_pages,
+                                              opts_.cache_ttl);
   }
-  return &state->cache;
+  return cache.get();
+}
+
+TraversalEngine::SpecState& TraversalEngine::SpecFor(
+    nam::ClientContext& ctx) {
+  // The engine is the context's only user of descent_scratch.
+  if (ctx.descent_scratch == nullptr) {
+    ctx.descent_scratch = std::make_unique<SpecState>();
+  }
+  return static_cast<SpecState&>(*ctx.descent_scratch);
 }
 
 TraversalEngine::CacheStats TraversalEngine::GetCacheStats() const {
   CacheStats stats;
-  for (const auto& state : clients_) {
-    if (state == nullptr) continue;
-    const NodeCache& cache = state->cache;
-    stats.hits += cache.hits();
-    stats.misses += cache.misses();
-    stats.expirations += cache.expirations();
-    stats.fence_invalidations += cache.invalidations();
+  for (const auto& cache : caches_) {
+    if (cache == nullptr) continue;
+    stats.hits += cache->hits();
+    stats.misses += cache->misses();
+    stats.expirations += cache->expirations();
+    stats.fence_invalidations += cache->invalidations();
   }
   return stats;
 }
@@ -204,9 +213,10 @@ DescentResult TraversalEngine::PredictLeaf(uint32_t client_id,
   if (trees_[tree].root_level == 0) {
     return DescentResult{Status::OK(), trees_[tree].root, {}};
   }
-  ClientState* state = StateOf(client_id);
-  if (state == nullptr) return none;
-  NodeCache& cache = state->cache;
+  if (client_id >= caches_.size() || caches_[client_id] == nullptr) {
+    return none;
+  }
+  NodeCache& cache = *caches_[client_id];
   rdma::RemotePtr ptr = trees_[tree].root;
   const size_t max_hops =
       static_cast<size_t>(trees_[tree].root_level) * 2 + 8;
@@ -252,7 +262,7 @@ sim::Task<DescentResult> TraversalEngine::DescendToLeaf(
   SpecState* spec = nullptr;
   if (opts_.speculative_descent &&
       opts_.cache_mode == CacheMode::kInnerImages && cache != nullptr) {
-    spec = &clients_[ops.ctx().client_id()]->spec;
+    spec = &SpecFor(ops.ctx());
     spec->Reset();
     co_await SpeculatePath(ops, tree, key, *cache, prefetch, *spec);
     if (!ops.alive()) co_return Crashed();
@@ -604,11 +614,11 @@ sim::Task<DescentResult> TraversalEngine::ResolveLeaf(nam::ClientContext& ctx,
 DescentResult TraversalEngine::PredictRoute(uint32_t client_id, Key key,
                                             SimTime now) const {
   DescentResult result{Status::OK(), rdma::RemotePtr::Null(), {}};
-  ClientState* state = StateOf(client_id);
-  if (opts_.cache_mode != CacheMode::kLeafRoutes || state == nullptr) {
+  if (opts_.cache_mode != CacheMode::kLeafRoutes ||
+      client_id >= caches_.size() || caches_[client_id] == nullptr) {
     return result;
   }
-  NodeCache* cache = &state->cache;
+  NodeCache* cache = caches_[client_id].get();
   bool expired = false;
   const uint8_t* image = cache->Peek(key, now, &expired);
   if (image == nullptr || expired) return result;

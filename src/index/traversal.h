@@ -263,10 +263,12 @@ class TraversalEngine {
 
   /// The predicted path of one speculative descent and the images its
   /// batch fetched. A path is at most 2 * root_level + 8 hops, so it is
-  /// searched linearly. Each client keeps one, reused by every descent
-  /// (a client runs one descent at a time), so a warm descent allocates
-  /// nothing: `hops`, `arena` and `reads` keep their capacity.
-  struct SpecState {
+  /// searched linearly. Each client context keeps one (SpecFor), reused by
+  /// every descent of that context: a context runs one descent at a time,
+  /// and each pipeline lane of a client has its own context. A warm
+  /// descent thus allocates nothing: `hops`, `arena` and `reads` keep
+  /// their capacity.
+  struct SpecState final : nam::ContextScratch {
     std::vector<SpecHop> hops;
     std::vector<uint8_t> arena;
     std::vector<rdma::Fabric::ChainOp> reads;
@@ -299,15 +301,8 @@ class TraversalEngine {
     }
   };
 
-  /// What the engine keeps per client id: the cache (inner images or leaf
-  /// routes) and the speculative-descent scratch state.
-  struct ClientState {
-    ClientState(uint32_t entry_size, size_t pages, SimTime ttl,
-                ImagePool* pool)
-        : cache(entry_size, pages, ttl, pool) {}
-    NodeCache cache;
-    SpecState spec;
-  };
+  /// `ctx`'s speculative-descent state, made on its first descent.
+  static SpecState& SpecFor(nam::ClientContext& ctx);
 
   /// The predict→batch half of a speculative descent: walks cached images
   /// locally (Peek — no cache mutation), then issues one doorbell-batched
@@ -316,18 +311,13 @@ class TraversalEngine {
                                 btree::Key key, NodeCache& cache,
                                 DescentPrefetch* prefetch, SpecState& spec);
 
-  /// The client's state, or nullptr while it has never used its cache.
-  ClientState* StateOf(uint32_t client_id) const {
-    return client_id < clients_.size() ? clients_[client_id].get() : nullptr;
-  }
-
   Options opts_;
   std::vector<Tree> trees_;
   /// Every client cache's page images (kInnerImages), stored once per
-  /// (page, content). Declared before clients_, so it outlives them.
+  /// (page, content). Declared before caches_, so it outlives them.
   ImagePool pool_;
   /// Indexed by client id; null until the client first uses its cache.
-  std::vector<std::unique_ptr<ClientState>> clients_;
+  std::vector<std::unique_ptr<NodeCache>> caches_;
 };
 
 }  // namespace namtree::index

@@ -127,6 +127,18 @@ class ScanBatch {
   std::unique_ptr<uint8_t[]> pages_;
 };
 
+/// State a layer above keeps per context (the speculative descent's path
+/// and batch storage): made by its first user and reused by every later
+/// operation of the context. Each pipeline lane of a client has its own
+/// context, so two operations in flight never share it.
+class ContextScratch {
+ public:
+  ContextScratch() = default;
+  ContextScratch(const ContextScratch&) = delete;
+  ContextScratch& operator=(const ContextScratch&) = delete;
+  virtual ~ContextScratch() = default;
+};
+
 /// Per-client state for index operations issued from a compute server:
 /// scratch page buffers for one-sided reads, a private RNG, and verb/latency
 /// accounting.
@@ -267,6 +279,10 @@ class ClientContext {
   /// the server that holds the lock even after further failovers. Empty at
   /// R=1.
   std::unordered_map<uint64_t, uint64_t> lock_routes;
+
+  /// Speculative-descent storage (index::TraversalEngine), made on first
+  /// use; see ContextScratch.
+  std::unique_ptr<ContextScratch> descent_scratch;
 
  private:
   uint32_t client_id_;

@@ -630,12 +630,15 @@ class Fabric {
 
   /// A multi-member post's member array, leased from the fabric's recycled
   /// pool on entry and handed back when the lease dies, on whatever path
-  /// Post leaves by. Chain posts then allocate only while the pool grows
-  /// to the peak number of chains in flight, and Post's coroutine frame
-  /// keeps one vector's footprint (an inline array made it larger, and
-  /// every standalone verb slower).
+  /// Post leaves by. The pool keeps at most kPooled arrays and frees the
+  /// rest, so it holds no more than a few chains' worth of memory after a
+  /// burst. Post's coroutine frame keeps one vector's footprint (an inline
+  /// array made it larger, and every standalone verb slower).
   class MemberLease {
    public:
+    /// Arrays the pool keeps for reuse.
+    static constexpr size_t kPooled = 8;
+
     /// Leases nothing for n == 0 (a standalone verb).
     MemberLease(std::vector<std::vector<PostMember>>& pool, size_t n)
         : pool_(pool) {
@@ -647,7 +650,8 @@ class Fabric {
       members_.resize(n);
     }
     ~MemberLease() {
-      if (members_.capacity() == 0) return;  // nothing leased
+      // Nothing leased, or the pool is full: the array is freed here.
+      if (members_.capacity() == 0 || pool_.size() >= kPooled) return;
       members_.clear();
       pool_.push_back(std::move(members_));
     }

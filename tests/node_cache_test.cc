@@ -35,7 +35,7 @@ using sim::Task;
 
 TEST(NodeCacheTest, HitAfterPut) {
   ImagePool pool(64);
-  NodeCache cache(64, 4, 0, &pool);
+  NodeCache cache(pool, 4, 0);
   std::vector<uint8_t> image(64, 0xAB);
   EXPECT_EQ(cache.Get(1, 0), nullptr);
   cache.Put(1, image.data(), 0);
@@ -239,8 +239,13 @@ void RunDifferential(KeyShape shape, size_t capacity, SimTime ttl,
                << " capacity=" << capacity << " ttl=" << ttl
                << " seed=" << seed);
   const uint32_t page_size = shape == KeyShape::kRoute ? 8 : 64;
-  ImagePool pool(page_size);  // routes stay in the slots and ignore it
-  NodeCache cache(page_size, capacity, ttl, &pool);
+  // Routes stay in the slots; page images are interned in a pool.
+  ImagePool pool(page_size);
+  const std::unique_ptr<NodeCache> owned =
+      shape == KeyShape::kRoute
+          ? std::make_unique<NodeCache>(page_size, capacity, ttl)
+          : std::make_unique<NodeCache>(pool, capacity, ttl);
+  NodeCache& cache = *owned;
   ReferenceCache model(page_size, capacity, ttl);
   Rng rng(seed);
   // A key universe twice the capacity (at least 8 keys), so hits, misses
@@ -337,8 +342,7 @@ void RunSharedDifferential(size_t capacity, SimTime ttl, uint64_t seed,
                                   << " seed=" << seed);
   constexpr uint32_t kPage = 64;
   ImagePool pool(kPage);
-  NodeCache caches[2] = {{kPage, capacity, ttl, &pool},
-                         {kPage, capacity, ttl, &pool}};
+  NodeCache caches[2] = {{pool, capacity, ttl}, {pool, capacity, ttl}};
   ReferenceCache models[2] = {{kPage, capacity, ttl}, {kPage, capacity, ttl}};
   Rng rng(seed);
   const uint64_t universe = std::max<uint64_t>(8, 2 * capacity);
@@ -427,8 +431,8 @@ TEST(NodeCacheTest, MatchesReferenceModelWithSharedPool) {
 
 TEST(NodeCacheTest, SharedPoolStoresIdenticalImagesOnce) {
   ImagePool pool(64);
-  NodeCache a(64, 4, 0, &pool);
-  NodeCache b(64, 4, 0, &pool);
+  NodeCache a(pool, 4, 0);
+  NodeCache b(pool, 4, 0);
   std::vector<uint8_t> v1(64, 1);
   std::vector<uint8_t> v2(64, 2);
   a.Put(1, v1.data(), 0);
@@ -453,6 +457,13 @@ TEST(NodeCacheTest, SharedPoolStoresIdenticalImagesOnce) {
   EXPECT_EQ(pool.blocks(), blocks) << "a released block is recycled";
 }
 
+TEST(NodeCacheDeathTest, PageSizedEntriesWithoutPoolAbort) {
+  // Only entries of at most 8 bytes fit a slot; the check holds in every
+  // build type, not only under assert.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH({ NodeCache cache(64, 4, 0); }, "need an ImagePool");
+}
+
 #if NAMTREE_AUDIT
 TEST(NodeCacheDeathTest, WriteThroughReturnedImageTripsAuditGuard) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -460,7 +471,7 @@ TEST(NodeCacheDeathTest, WriteThroughReturnedImageTripsAuditGuard) {
   // Unmodified, the same sequence releases cleanly.
   {
     ImagePool pool(64);
-    NodeCache cache(64, 4, 0, &pool);
+    NodeCache cache(pool, 4, 0);
     cache.Put(1, image.data(), 0);
     ASSERT_NE(cache.Get(1, 0), nullptr);
     cache.Invalidate(1);
@@ -469,7 +480,7 @@ TEST(NodeCacheDeathTest, WriteThroughReturnedImageTripsAuditGuard) {
   EXPECT_DEATH(
       {
         ImagePool pool(64);
-        NodeCache cache(64, 4, 0, &pool);
+        NodeCache cache(pool, 4, 0);
         cache.Put(1, image.data(), 0);
         const uint8_t* got = cache.Get(1, 0);
         // A caller that casts the read-only image writable and patches it

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/random.h"
 #include "index/coarse_grained.h"
 #include "index/coarse_one_sided.h"
 #include "index/fine_grained.h"
@@ -118,6 +119,59 @@ TEST(SpeculativeDescentTest, FindsEverythingWithSameCacheBehavior) {
   EXPECT_EQ(spec.lru, plain.lru) << "speculation skewed the LRU order";
   EXPECT_EQ(plain.speculative_hits, 0u);
   EXPECT_EQ(plain.mispredicts, 0u);
+}
+
+Task<> ZipfLookupLane(DistributedIndex& index, ClientContext& ctx,
+                      ZipfGenerator& zipf, int rounds, uint64_t keys,
+                      uint64_t* found) {
+  for (int i = 0; i < rounds; ++i) {
+    const Key k = FnvScramble(zipf.Next(ctx.rng()), keys) * 2;
+    const LookupResult r = co_await index.Lookup(ctx, k);
+    if (r.found) (*found)++;
+  }
+}
+
+TEST(SpeculativeDescentTest, PipelinedLanesOfOneClientKeepTheirOwnPaths) {
+  // Eight lanes per client share the client id, and so its cache, but each
+  // has its own context. A lane suspended in its speculative batch READ
+  // must resume with its own predicted path: replaying another lane's
+  // hops would route its key down someone else's path and miss it.
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 4;
+  Cluster cluster(fc, 64 << 20);
+  IndexConfig ic;
+  ic.page_size = 256;
+  ic.client_cache_pages = 4096;
+  ic.speculative_descent = true;  // ttl 0: warm hops are replayed
+  FineGrainedIndex index(cluster, ic);
+  const uint64_t keys = 20000;
+  ASSERT_TRUE(index.BulkLoad(EvenKeys(keys)).ok());
+  ASSERT_GE(index.root_level(), 2u);
+
+  constexpr uint32_t kClients = 2;
+  constexpr uint32_t kLanes = 8;
+  constexpr int kRounds = 300;
+  ZipfGenerator zipf(keys, 0.99);
+  std::vector<std::unique_ptr<ClientContext>> lanes;
+  uint64_t found = 0;
+  for (uint32_t c = 0; c < kClients; ++c) {
+    for (uint32_t lane = 0; lane < kLanes; ++lane) {
+      lanes.push_back(std::make_unique<ClientContext>(
+          c, cluster.fabric(), ic.page_size, 100 * c + lane));
+      Spawn(cluster.simulator(), ZipfLookupLane(index, *lanes.back(), zipf,
+                                                kRounds, keys, &found));
+    }
+  }
+  // A few milliseconds of virtual time suffice; a lane sent down another
+  // lane's path may never finish.
+  EXPECT_FALSE(cluster.simulator().RunUntil(kSecond))
+      << "lanes still running after 1 s of virtual time";
+  EXPECT_EQ(found, uint64_t{kClients} * kLanes * kRounds);
+  uint64_t hits = 0;
+  for (const auto& ctx : lanes) hits += ctx->speculative_hits;
+  EXPECT_GT(hits, 0u);
+  EXPECT_TRUE(cluster.fabric().CheckAuditClean().ok())
+      << cluster.fabric().CheckAuditClean().ToString();
 }
 
 TEST(SpeculativeDescentTest, ExpiredImagesStillDriveOneRttDescents) {
