@@ -1,11 +1,11 @@
 // Ablation for the one-RTT lookup fast path: (1) speculative descent —
 // round trips per uniform lookup on a height>=3 fine-grained tree whose
 // cached inner images are TTL-expired (the cold-path regime the predictor
-// targets), speculation off vs on; (2) in-flight read combining — duplicate
-// in-flight READs under a pipelined Zipf workload, combining off vs on;
-// (3) batched MultiGet — round trips per key for a dense batch, single
-// lookups vs one grouped chain walk. `--json <path>` writes the
-// machine-readable report the CI smoke-bench gates on (BENCH_pr8.json).
+// targets), speculation off vs on; (2) a pipelined Zipf run whose registry
+// window the report emits wholesale (BENCH_pr9.json); (3) batched MultiGet
+// — round trips per key for a dense batch, single lookups vs one grouped
+// chain walk. `--json <path>` writes the machine-readable report the CI
+// smoke-bench gates on (BENCH_pr8.json).
 
 #include <cstdio>
 
@@ -89,25 +89,20 @@ SpecPhaseResult RunSpecPhase(bool speculative, uint64_t keys,
   return r;
 }
 
-struct CombinePhaseResult {
-  uint64_t duplicate_inflight_reads = 0;
-  uint64_t combined_reads = 0;
+struct PipelinedPhaseResult {
   double ops_per_s = 0;
-  uint64_t failed_ops = 0;
   /// Registry window of the run — emitted wholesale into the JSON report.
   namtree::metrics::Delta counters;
 };
 
-/// Pipelined Zipf point lookups on the fine-grained design: 8 lanes per
-/// client hammer the same hot pages, so without combining many READs
-/// duplicate one already in flight from the same client.
-CombinePhaseResult RunCombinePhase(bool combining, uint64_t keys,
-                                   uint32_t clients, uint32_t depth) {
+/// Pipelined Zipf YCSB A on the fine-grained design: `depth` lanes per
+/// client hammer the same hot pages.
+PipelinedPhaseResult RunPipelinedPhase(uint64_t keys, uint32_t clients,
+                                       uint32_t depth) {
   ExperimentConfig config;
   config.design = DesignKind::kFine;
   config.num_keys = keys;
   config.page_size = 256;
-  config.read_combining = combining;
   namtree::bench::Experiment exp = MakeExperiment(config);
 
   namtree::ycsb::RunConfig run;
@@ -120,12 +115,8 @@ CombinePhaseResult RunCombinePhase(bool combining, uint64_t keys,
   run.duration = 10 * namtree::kMillisecond;
   const namtree::ycsb::RunResult result = exp.Run(run);
 
-  CombinePhaseResult r;
-  r.duplicate_inflight_reads = exp.cluster->fabric().metrics().Value(
-      "fabric.duplicate_inflight_reads");
-  r.combined_reads = result.combined_reads();
+  PipelinedPhaseResult r;
   r.ops_per_s = result.ops_per_sec;
-  r.failed_ops = result.failed_ops();
   r.counters = result.counters;
   return r;
 }
@@ -197,10 +188,10 @@ int main(int argc, char** argv) {
   const uint32_t depth = static_cast<uint32_t>(args.GetInt("depth", 8));
 
   namtree::bench::PrintPreamble(
-      "Ablation: speculative descent / read combining / MultiGet",
+      "Ablation: speculative descent / MultiGet",
       "One-RTT lookup fast paths on the fine-grained design",
       Num(static_cast<double>(keys)) + " keys, page=256; spec phase: 1 "
-          "client, uniform, TTL-expired inner cache; combining phase: " +
+          "client, uniform, TTL-expired inner cache; pipelined phase: " +
           Num(clients) + " clients x depth " + Num(depth) + ", Zipf 0.99");
 
   std::printf("\n# subplot: round_trips_per_lookup\n");
@@ -224,16 +215,11 @@ int main(int argc, char** argv) {
               spec_base.round_trips_per_op, spec_on.round_trips_per_op,
               rtt_reduction);
 
-  std::printf("\n# subplot: duplicate_inflight_reads\n");
-  PrintRow({"mode", "duplicates", "combined_reads", "ops_per_s"});
-  const CombinePhaseResult comb_base =
-      RunCombinePhase(false, keys, clients, depth);
-  PrintRow({"no_combining", Num(comb_base.duplicate_inflight_reads),
-            Num(comb_base.combined_reads), Num(comb_base.ops_per_s)});
-  const CombinePhaseResult comb_on =
-      RunCombinePhase(true, keys, clients, depth);
-  PrintRow({"combining", Num(comb_on.duplicate_inflight_reads),
-            Num(comb_on.combined_reads), Num(comb_on.ops_per_s)});
+  std::printf("\n# subplot: pipelined_zipf\n");
+  PrintRow({"mode", "ops_per_s"});
+  const PipelinedPhaseResult pipelined =
+      RunPipelinedPhase(keys, clients, depth);
+  PrintRow({"pipelined", Num(pipelined.ops_per_s)});
 
   std::printf("\n# subplot: multiget_round_trips\n");
   PrintRow({"mode", "round_trips_per_key"});
@@ -251,7 +237,7 @@ int main(int argc, char** argv) {
   report.Set("config.keys", keys);
   report.Set("config.rounds", rounds);
   report.Set("config.page_size", static_cast<uint64_t>(256));
-  report.Set("config.combining_clients", static_cast<uint64_t>(clients));
+  report.Set("config.pipelined_clients", static_cast<uint64_t>(clients));
   report.Set("config.pipeline_depth", static_cast<uint64_t>(depth));
   report.Set("spec.root_level", static_cast<uint64_t>(spec_base.root_level));
   report.Set("spec.base.round_trips_per_op", spec_base.round_trips_per_op);
@@ -260,22 +246,16 @@ int main(int argc, char** argv) {
   report.Set("spec.speculative.hits", spec_on.speculative_hits);
   report.Set("spec.speculative.mispredicts", spec_on.mispredicts);
   report.Set("spec.round_trip_reduction_percent", rtt_reduction);
-  report.Set("combining.base.duplicate_inflight_reads",
-             comb_base.duplicate_inflight_reads);
-  report.Set("combining.base.ops_per_s", comb_base.ops_per_s);
-  report.Set("combining.combined.duplicate_inflight_reads",
-             comb_on.duplicate_inflight_reads);
-  report.Set("combining.combined.combined_reads", comb_on.combined_reads);
-  report.Set("combining.combined.ops_per_s", comb_on.ops_per_s);
+  report.Set("pipelined.ops_per_s", pipelined.ops_per_s);
   report.Set("multiget.single_round_trips_per_key",
              mg.single_round_trips_per_op);
   report.Set("multiget.grouped_round_trips_per_key",
              mg.grouped_round_trips_per_op);
   report.Set("multiget.reduction_factor", mg_speedup);
   report.Set("multiget.missing", mg.missing);
-  // The whole registry window of the combining-on run, emitted generically
+  // The whole registry window of the pipelined run, emitted generically
   // (docs/observability.md); the CI metrics-schema step diffs this key set.
-  namtree::bench::EmitMetrics(comb_on.counters, report);
+  namtree::bench::EmitMetrics(pipelined.counters, report);
   if (!namtree::bench::MaybeWriteJson(args, report)) return 1;
   return 0;
 }

@@ -1,8 +1,11 @@
-// Ablation for doorbell-batched verb chains (Fabric::PostChain): how many
-// signaled verbs and doorbells a fine-grained insert costs with chaining on
-// vs off, and what the chained write paths buy in Figure-12-style insert
-// throughput. `--json <path>` additionally writes the machine-readable
-// report the CI smoke-bench archives (BENCH_pr3.json).
+// Verb accounting for doorbell-batched write paths (Fabric::PostChain): how
+// many signaled verbs, unsignaled chain members and doorbells a
+// fine-grained insert costs, and the Figure-12-style insert throughput of
+// the chained write paths. `--json <path>` additionally writes the
+// machine-readable report the CI smoke-bench reproduces (BENCH_pr3.json).
+// The retired unchained WRITE+FAA protocol measured 13.0 signaled verbs per
+// insert and 457.8K workload-D ops/s against these defaults
+// (docs/batching.md §5).
 
 #include <cstdio>
 
@@ -21,7 +24,7 @@ namespace {
 
 // Right-edge appends: every insert lands on the rightmost leaf, so the run
 // is split-heavy — the workload shape the chained split publication
-// (WriteSiblingAndUnlockPage) is built for.
+// (RemoteOps::WriteUnlockPage with a sibling) is built for.
 // namtree-lint: safe-coro-ref(referents live in RunVerbPhase's frame, which blocks on simulator.Run() until this task finishes)
 namtree::sim::Task<> InsertLoop(namtree::index::DistributedIndex& index,
                                 namtree::nam::ClientContext& ctx,
@@ -43,7 +46,7 @@ struct VerbPhaseResult {
 /// inner-node cache warm, counting fabric-level verbs per insert. The small
 /// page size keeps leaves shallow so splits — where chaining saves the
 /// most — happen every few inserts, as in the paper's insert-heavy tail.
-VerbPhaseResult RunVerbPhase(bool chained, uint64_t keys, uint64_t inserts,
+VerbPhaseResult RunVerbPhase(uint64_t keys, uint64_t inserts,
                              uint32_t page_size, uint32_t cache_pages,
                              uint32_t head_interval) {
   ExperimentConfig config;
@@ -51,7 +54,6 @@ VerbPhaseResult RunVerbPhase(bool chained, uint64_t keys, uint64_t inserts,
   config.num_keys = keys;
   config.page_size = page_size;
   config.head_node_interval = head_interval;
-  config.verb_chaining = chained;
   config.client_cache_pages = cache_pages;
   config.client_cache_ttl = 0;  // NodeCache treats 0 as no expiry
   namtree::bench::Experiment exp = MakeExperiment(config);
@@ -82,12 +84,11 @@ VerbPhaseResult RunVerbPhase(bool chained, uint64_t keys, uint64_t inserts,
 }
 
 /// Figure-12-style closed-loop insert workload (D: 50% inserts) on the
-/// fine-grained design at paper page size, chained vs unchained.
-double RunThroughputPhase(bool chained, uint64_t keys, uint32_t clients) {
+/// fine-grained design at paper page size.
+double RunThroughputPhase(uint64_t keys, uint32_t clients) {
   ExperimentConfig config;
   config.design = DesignKind::kFine;
   config.num_keys = keys;
-  config.verb_chaining = chained;
   namtree::bench::Experiment exp = MakeExperiment(config);
   namtree::ycsb::RunConfig run;
   run.num_clients = clients;
@@ -105,9 +106,8 @@ int main(int argc, char** argv) {
   const uint64_t inserts =
       static_cast<uint64_t>(args.GetInt("inserts", 4000));
   // Verb-phase defaults: small pages make the append run split-heavy
-  // (where chains collapse 3 signaled verbs into 1) and the warm A.4
-  // inner-node cache keeps traversal reads — identical in both modes —
-  // from diluting the ratio.
+  // (where a chain rides 3 writes on 1 signaled completion) and the warm
+  // A.4 inner-node cache keeps traversal reads from diluting the count.
   const uint32_t page_size =
       static_cast<uint32_t>(args.GetInt("page", 128));
   const uint32_t cache_pages =
@@ -128,38 +128,15 @@ int main(int argc, char** argv) {
   std::printf("\n# subplot: signaled_verbs_per_insert\n");
   PrintRow({"mode", "signaled_per_op", "unsignaled_per_op",
             "doorbells_per_op"});
-  const VerbPhaseResult unchained =
-      RunVerbPhase(false, keys, inserts, page_size, cache_pages,
-                   head_interval);
-  PrintRow({"unchained", Num(unchained.signaled_per_op),
-            Num(unchained.unsignaled_per_op),
-            Num(unchained.doorbells_per_op)});
   const VerbPhaseResult chained =
-      RunVerbPhase(true, keys, inserts, page_size, cache_pages,
-                   head_interval);
+      RunVerbPhase(keys, inserts, page_size, cache_pages, head_interval);
   PrintRow({"chained", Num(chained.signaled_per_op),
             Num(chained.unsignaled_per_op), Num(chained.doorbells_per_op)});
-  const double signaled_reduction =
-      unchained.signaled_per_op > 0
-          ? 100.0 * (1.0 - chained.signaled_per_op / unchained.signaled_per_op)
-          : 0;
-  const double doorbell_reduction =
-      unchained.doorbells_per_op > 0
-          ? 100.0 * (1.0 - chained.doorbells_per_op / unchained.doorbells_per_op)
-          : 0;
-  std::printf("# signaled verbs per insert: %.3f -> %.3f (-%.1f%%)\n",
-              unchained.signaled_per_op, chained.signaled_per_op,
-              signaled_reduction);
 
   std::printf("\n# subplot: workload_d_throughput\n");
   PrintRow({"mode", "ops_per_s"});
-  const double tput_unchained = RunThroughputPhase(false, keys, clients);
-  PrintRow({"unchained", Num(tput_unchained)});
-  const double tput_chained = RunThroughputPhase(true, keys, clients);
+  const double tput_chained = RunThroughputPhase(keys, clients);
   PrintRow({"chained", Num(tput_chained)});
-  const double speedup =
-      tput_unchained > 0 ? tput_chained / tput_unchained : 0;
-  std::printf("# workload D throughput: x%.3f\n", speedup);
 
   JsonReport report;
   report.Set("bench", std::string("ablate_verb_chains"));
@@ -169,17 +146,10 @@ int main(int argc, char** argv) {
   report.Set("config.verb_phase_cache_pages",
              static_cast<uint64_t>(cache_pages));
   report.Set("config.throughput_clients", static_cast<uint64_t>(clients));
-  report.Set("unchained.signaled_per_op", unchained.signaled_per_op);
-  report.Set("unchained.unsignaled_per_op", unchained.unsignaled_per_op);
-  report.Set("unchained.doorbells_per_op", unchained.doorbells_per_op);
-  report.Set("unchained.workload_d_ops_per_s", tput_unchained);
   report.Set("chained.signaled_per_op", chained.signaled_per_op);
   report.Set("chained.unsignaled_per_op", chained.unsignaled_per_op);
   report.Set("chained.doorbells_per_op", chained.doorbells_per_op);
   report.Set("chained.workload_d_ops_per_s", tput_chained);
-  report.Set("signaled_verbs_reduction_percent", signaled_reduction);
-  report.Set("doorbell_reduction_percent", doorbell_reduction);
-  report.Set("workload_d_speedup", speedup);
   if (!namtree::bench::MaybeWriteJson(args, report)) return 1;
   return 0;
 }

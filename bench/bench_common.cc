@@ -60,8 +60,6 @@ Experiment MakeExperiment(const ExperimentConfig& config) {
   if (config.workers_per_server > 0) {
     fabric_config.workers_per_server = config.workers_per_server;
   }
-  fabric_config.verb_chaining = config.verb_chaining;
-  fabric_config.read_combining = config.read_combining;
 
   uint64_t region_bytes = config.region_bytes;
   if (region_bytes == 0) {

@@ -54,17 +54,12 @@ struct ExperimentConfig {
   bool colocate = false;
   uint64_t region_bytes = 0;  ///< 0 = sized automatically from num_keys
   uint32_t workers_per_server = 0;  ///< 0 = FabricConfig default
-  /// Doorbell-batched verb chains on the one-sided write paths
-  /// (FabricConfig::verb_chaining); false = individually signaled verbs.
-  bool verb_chaining = true;
   /// Per-client inner-node cache (IndexConfig::client_cache_pages / _ttl).
   uint32_t client_cache_pages = 0;
   SimTime client_cache_ttl = 0;
   /// One-RTT speculative descent (IndexConfig::speculative_descent;
   /// one-sided designs, needs client_cache_pages > 0).
   bool speculative_descent = false;
-  /// In-flight read combining (FabricConfig::read_combining).
-  bool read_combining = false;
 };
 
 /// The paper's §6.1 skewed placement, generalised to S servers:

@@ -22,7 +22,7 @@ namespace namtree::index {
 /// hashes to (server, bucket). Buckets carry the same 8-byte version+lock
 /// word as tree pages, six key/value slots, and an overflow pointer to a
 /// chained bucket allocated via RDMA_ALLOC. Writers use the one-sided lock
-/// protocol (CAS / WRITE+FAA) per bucket.
+/// protocol (CAS / chained WRITE + unlock) per bucket.
 ///
 /// Scan() is intentionally unsupported and returns 0 — that inability *is*
 /// the baseline's story. Run only point/insert/update/delete mixes.

@@ -395,7 +395,7 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
     assert(ok);
     (void)ok;
     const Status unlock =
-        co_await ops.WriteSiblingAndUnlockPage(right_ptr, rbuf, ptr, buf);
+        co_await ops.WriteUnlockPage(ptr, buf, right_ptr, rbuf);
     if (unlock.IsAborted()) {
       // Locked primary died mid-split-publication: the promoted replica
       // still shows the pre-split image. The allocated right page leaks

@@ -93,7 +93,7 @@ class LeafLevel {
                                        Status* status, FenceCheck fence);
 
   /// One-sided insert into the chain at the leaf covering `key` (Listing 2
-  /// leaf phase): remote CAS lock, local modify, WRITE + FAA unlock. On a
+  /// leaf phase): remote CAS lock, local modify, chained WRITE + unlock. On a
   /// split, the new right page is allocated via RDMA_ALLOC — round-robin
   /// across servers, or on `alloc_server` when >= 0 — and reported through
   /// `split` so the caller can install the separator.

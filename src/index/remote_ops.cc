@@ -47,27 +47,19 @@ void RemoteOps::StampLocked(uint8_t* buf, uint64_t version) {
 }
 
 sim::Task<Status> RemoteOps::ReadPageFrom(rdma::RemotePtr at, uint8_t* buf) {
-  // With FabricConfig::read_combining a concurrent lane's identical READ
-  // serves this one too: no verb posted, no round trip — only the
-  // combined-read counter moves. Off (default), CombinedRead degenerates
-  // to a plain Read and the toll is the historical one.
   const rdma::RetryPolicy policy = VerbPolicy();
   // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
   for (uint32_t attempt = 0;; ++attempt) {
     const SimTime t0 = TraceStart();
-    const rdma::CombinedReadResult read = co_await fabric().CombinedRead(
-        ctx_->client_id(), at, buf, page_size());
+    const rdma::VerbCompletion done =
+        co_await fabric().Read(ctx_->client_id(), at, buf, page_size());
     TraceVerbEvent(metrics::TraceVerb::kRead, at.server_id(), /*chain=*/0, t0);
-    if (read.combined) {
-      ctx_->combined_reads.Inc();
-    } else {
-      ctx_->round_trips.Inc();
-    }
+    ctx_->round_trips.Inc();
     if (!alive()) co_return Status::Unavailable("client crashed");
     if (!fabric().ServerAlive(at.server_id())) {
       co_return Status::Unavailable("memory server dead");
     }
-    if (read.ok()) co_return Status::OK();
+    if (done == rdma::VerbCompletion::kOk) co_return Status::OK();
     // The READ or its completion was lost. A READ has no remote effect, so
     // the re-post is sanctioned as-is.
     // namtree-lint: retry-ok(READ is idempotent)
@@ -392,7 +384,9 @@ sim::Task<PageReadResult> RemoteOps::LockPage(rdma::RemotePtr ptr,
 }
 
 sim::Task<Status> RemoteOps::WriteUnlockPage(rdma::RemotePtr ptr,
-                                             const uint8_t* buf) {
+                                             const uint8_t* buf,
+                                             rdma::RemotePtr sibling,
+                                             const uint8_t* sibling_buf) {
   uint64_t word;
   std::memcpy(&word, buf + btree::kVersionOffset, 8);
   assert(IsLocked(word) && "image must carry the lock bit until the release");
@@ -423,142 +417,37 @@ sim::Task<Status> RemoteOps::WriteUnlockPage(rdma::RemotePtr ptr,
   }
   const rdma::RetryPolicy policy = VerbPolicy();
 
-  if (!fabric().config().verb_chaining) {
-    // Unchained fallback: individually signaled WRITE + FAA release,
-    // bit-identical to the pre-chain protocol (the FAA keeps the stale
-    // holder bits in the unlocked word; VersionOf masks them out).
-    ctx_->round_trips.Inc(2);
-    // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-    for (uint32_t attempt = 0;; ++attempt) {
-      const SimTime write_t0 = TraceStart();
-      // namtree-lint: unchained-ok(verb_chaining-disabled fallback path)
-      const rdma::VerbCompletion done = co_await fabric().Write(
-          ctx_->client_id(), locked_at, buf, page_size());
-      TraceVerbEvent(metrics::TraceVerb::kWrite, locked_server, /*chain=*/0,
-                     write_t0);
-      if (!alive()) co_return Status::Unavailable("client crashed");
-      if (!fabric().ServerAlive(locked_server)) {
-        ctx_->lock_routes.erase(ptr.raw());
-        co_return fabric().replicated()
-            ? Status::Aborted("locked primary died during publication")
-            : Status::Unavailable("memory server dead");
-      }
-      if (done == rdma::VerbCompletion::kOk) break;
-      // Lost page WRITE under our own lock: byte-idempotent re-post.
-      // namtree-lint: retry-ok(WRITE of identical bytes under our lock)
-      if (policy.Exhausted(attempt + 1)) {
-        ctx_->lock_routes.erase(ptr.raw());
-        ctx_->verb_retry_exhausted.Inc();
-        co_return Status::TimedOut("publication WRITE lost in the network");
-      }
-      ctx_->verb_retry_attempts.Inc();
-      ctx_->round_trips.Inc();
-      co_await sim::Delay(fabric().simulator(),
-                          policy.BackoffFor(attempt, ctx_->rng()));
-    }
-    for (uint32_t r = 0; fabric().replicated() && r < fabric().replication();
-         ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
-      if (rep == locked_at || !fabric().ServerAlive(rep.server_id())) {
-        continue;
-      }
-      // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-      for (uint32_t attempt = 0;; ++attempt) {
-        ctx_->round_trips.Inc();
-        const SimTime rep_t0 = TraceStart();
-        // namtree-lint: unchained-ok(verb_chaining-disabled fallback path)
-        const rdma::VerbCompletion done = co_await fabric().Write(
-            ctx_->client_id(), rep, backup_img.data(), page_size());
-        TraceVerbEvent(metrics::TraceVerb::kWrite, rep.server_id(),
-                       /*chain=*/0, rep_t0);
-        if (!alive()) co_return Status::Unavailable("client crashed");
-        if (!fabric().ServerAlive(locked_server)) {
-          ctx_->lock_routes.erase(ptr.raw());
-          co_return Status::Aborted("locked primary died during publication");
-        }
-        if (done == rdma::VerbCompletion::kOk) break;
-        // A backup whose server died mid-WRITE is skipped, exactly as a
-        // pre-WRITE death would have skipped it above.
-        if (!fabric().ServerAlive(rep.server_id())) break;
-        // namtree-lint: retry-ok(WRITE of identical bytes)
-        if (policy.Exhausted(attempt + 1)) {
-          ctx_->lock_routes.erase(ptr.raw());
-          ctx_->verb_retry_exhausted.Inc();
-          co_return Status::TimedOut("backup WRITE lost in the network");
-        }
-        ctx_->verb_retry_attempts.Inc();
-        co_await sim::Delay(fabric().simulator(),
-                            policy.BackoffFor(attempt, ctx_->rng()));
-      }
-    }
-    // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-    for (uint32_t attempt = 0;; ++attempt) {
-      const SimTime faa_t0 = TraceStart();
-      const rdma::AtomicResult faa = co_await fabric().FetchAndAdd(
-          ctx_->client_id(), locked_at.Plus(btree::kVersionOffset), 1);
-      TraceVerbEvent(metrics::TraceVerb::kFaa, locked_server, /*chain=*/0,
-                     faa_t0);
-      if (!alive()) {
-        ctx_->lock_routes.erase(ptr.raw());
-        co_return Status::Unavailable("client crashed");
-      }
-      if (!fabric().ServerAlive(locked_server)) {
-        ctx_->lock_routes.erase(ptr.raw());
-        co_return fabric().replicated()
-            ? Status::Aborted("locked primary died during publication")
-            : Status::Unavailable("memory server dead");
-      }
-      if (faa.ok()) break;
-      // Ambiguous release: did the +1 land before the ACK vanished? Read
-      // the word back — it stays our locked word until the release is
-      // visible.
-      uint64_t now_word = 0;
-      const Status read_back = co_await ReadWord(
-          locked_at.Plus(btree::kVersionOffset), &now_word);
-      if (!read_back.ok()) {
-        ctx_->lock_routes.erase(ptr.raw());
-        co_return read_back;
-      }
-      if (now_word != word) break;  // release visible (or lock stolen)
-      // Still our locked word: the FAA never executed. Retrying the
-      // non-idempotent FAA is sanctioned only behind this read-back — a
-      // blind re-post would double-release.
-      // namtree-lint: retry-ok(read-back proved the FAA had no effect)
-      if (policy.Exhausted(attempt + 1)) {
-        ctx_->lock_routes.erase(ptr.raw());
-        ctx_->verb_retry_exhausted.Inc();
-        co_return Status::TimedOut("unlock FAA lost in the network");
-      }
-      ctx_->verb_retry_attempts.Inc();
-      ctx_->round_trips.Inc();
-      co_await sim::Delay(fabric().simulator(),
-                          policy.BackoffFor(attempt, ctx_->rng()));
-    }
-    ctx_->lock_routes.erase(ptr.raw());
-    co_return Status::OK();
-  }
-  // Doorbell-batched {page WRITE, backup WRITEs, unlock WRITE}: one
-  // doorbell, one completion. The unlock WRITE installs the next version
-  // with the holder bits cleared — the same version an FAA release
-  // reaches. Backup WRITEs are fenced on the locked primary: once it dies
-  // a reader may already have promoted a backup, so a late backup WRITE
-  // must not clobber the promoted copy.
+  // Doorbell-batched {sibling WRITE + its backups, page WRITE, page backup
+  // WRITEs, unlock WRITE}: one doorbell, one completion. The unlock WRITE
+  // installs the next version with the holder bits cleared. Sibling
+  // backups ride unfenced: the sibling is unreachable until the page WRITE
+  // publishes the link, so an orphaned sibling replica (its chain cut by a
+  // mid-chain server death) is harmless garbage. Page backups are fenced
+  // on the locked primary: once it dies a reader may already have promoted
+  // a backup, so a late backup WRITE must not clobber the promoted copy.
   ctx_->round_trips.Inc();
   std::vector<rdma::Fabric::ChainOp> chain;
-  chain.reserve(1 + fabric().replication());
-  chain.push_back(
-      rdma::Fabric::ChainOp::Write(locked_at, buf, page_size()));
-  if (fabric().replicated()) {
-    for (uint32_t r = 0; r < fabric().replication(); ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
-      if (rep == locked_at || !fabric().ServerAlive(rep.server_id())) {
-        continue;
-      }
-      rdma::Fabric::ChainOp op = rdma::Fabric::ChainOp::Write(
-          rep, backup_img.data(), page_size());
-      op.fence_server = static_cast<int32_t>(locked_server);
-      chain.push_back(op);
+  chain.reserve(1 + 2 * fabric().replication());
+  if (!sibling.is_null()) {
+    chain.push_back(
+        rdma::Fabric::ChainOp::Write(sibling, sibling_buf, page_size()));
+    for (uint32_t r = 1; fabric().replicated() && r < fabric().replication();
+         ++r) {
+      const rdma::RemotePtr rep = fabric().ReplicaPtr(sibling, r);
+      if (!fabric().ServerAlive(rep.server_id())) continue;
+      chain.push_back(
+          rdma::Fabric::ChainOp::Write(rep, sibling_buf, page_size()));
     }
+  }
+  chain.push_back(rdma::Fabric::ChainOp::Write(locked_at, buf, page_size()));
+  for (uint32_t r = 0; fabric().replicated() && r < fabric().replication();
+       ++r) {
+    const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
+    if (rep == locked_at || !fabric().ServerAlive(rep.server_id())) continue;
+    rdma::Fabric::ChainOp op =
+        rdma::Fabric::ChainOp::Write(rep, backup_img.data(), page_size());
+    op.fence_server = static_cast<int32_t>(locked_server);
+    chain.push_back(op);
   }
   chain.push_back(rdma::Fabric::ChainOp::Write(
       locked_at.Plus(btree::kVersionOffset), &unlocked, 8));
@@ -602,164 +491,6 @@ sim::Task<Status> RemoteOps::WriteUnlockPage(rdma::RemotePtr ptr,
     if (now_word != word) break;  // the release landed; only ACKs were lost
     // Still locked by us: the unlock WRITE never executed, so nobody can
     // have modified the page — every member re-posts the same bytes.
-    // namtree-lint: retry-ok(read-back proved the release missing; chain is byte-idempotent)
-    if (policy.Exhausted(attempt + 1)) {
-      ctx_->lock_routes.erase(ptr.raw());
-      ctx_->verb_retry_exhausted.Inc();
-      co_return Status::TimedOut("publication chain lost in the network");
-    }
-    ctx_->verb_retry_attempts.Inc();
-    ctx_->round_trips.Inc();
-    co_await sim::Delay(fabric().simulator(),
-                        policy.BackoffFor(attempt, ctx_->rng()));
-  }
-  ctx_->lock_routes.erase(ptr.raw());
-  co_return Status::OK();
-}
-
-sim::Task<Status> RemoteOps::WriteSiblingAndUnlockPage(
-    rdma::RemotePtr sibling, const uint8_t* sibling_buf, rdma::RemotePtr ptr,
-    const uint8_t* buf) {
-  const rdma::RetryPolicy policy = VerbPolicy();
-  if (!fabric().config().verb_chaining) {
-    // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-    for (uint32_t attempt = 0;; ++attempt) {
-      ctx_->round_trips.Inc();
-      const SimTime sib_t0 = TraceStart();
-      const rdma::VerbCompletion done = co_await fabric().Write(
-          ctx_->client_id(), sibling, sibling_buf, page_size());
-      TraceVerbEvent(metrics::TraceVerb::kWrite, sibling.server_id(),
-                     /*chain=*/0, sib_t0);
-      if (!alive()) co_return Status::Unavailable("client crashed");
-      if (done == rdma::VerbCompletion::kOk) break;
-      // The sibling is unreachable until the page below publishes the
-      // link: re-post freely. namtree-lint: retry-ok(unlinked page)
-      if (policy.Exhausted(attempt + 1)) {
-        ctx_->verb_retry_exhausted.Inc();
-        co_return Status::TimedOut("sibling WRITE lost in the network");
-      }
-      ctx_->verb_retry_attempts.Inc();
-      co_await sim::Delay(fabric().simulator(),
-                          policy.BackoffFor(attempt, ctx_->rng()));
-    }
-    for (uint32_t r = 1; fabric().replicated() && r < fabric().replication();
-         ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(sibling, r);
-      if (!fabric().ServerAlive(rep.server_id())) continue;
-      // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-      for (uint32_t attempt = 0;; ++attempt) {
-        ctx_->round_trips.Inc();
-        const SimTime rep_t0 = TraceStart();
-        // namtree-lint: unchained-ok(verb_chaining-disabled fallback path)
-        const rdma::VerbCompletion done = co_await fabric().Write(
-            ctx_->client_id(), rep, sibling_buf, page_size());
-        TraceVerbEvent(metrics::TraceVerb::kWrite, rep.server_id(),
-                       /*chain=*/0, rep_t0);
-        if (!alive()) co_return Status::Unavailable("client crashed");
-        if (done == rdma::VerbCompletion::kOk) break;
-        if (!fabric().ServerAlive(rep.server_id())) break;
-        // namtree-lint: retry-ok(unlinked page)
-        if (policy.Exhausted(attempt + 1)) {
-          ctx_->verb_retry_exhausted.Inc();
-          co_return Status::TimedOut("sibling WRITE lost in the network");
-        }
-        ctx_->verb_retry_attempts.Inc();
-        co_await sim::Delay(fabric().simulator(),
-                            policy.BackoffFor(attempt, ctx_->rng()));
-      }
-    }
-    co_return co_await WriteUnlockPage(ptr, buf);  // unchained path
-  }
-  uint64_t word;
-  std::memcpy(&word, buf + btree::kVersionOffset, 8);
-  assert(IsLocked(word) && "image must carry the lock bit until the release");
-  const RouteResult route = LockedReplica(ptr);
-  if (!route.ok()) {
-    ctx_->lock_routes.erase(ptr.raw());
-    co_return route.status;
-  }
-  const rdma::RemotePtr locked_at = route.ptr;
-  const uint32_t locked_server = locked_at.server_id();
-  if (!fabric().ServerAlive(locked_server)) {
-    ctx_->lock_routes.erase(ptr.raw());
-    co_return fabric().replicated()
-        ? Status::Aborted("locked primary died before publication")
-        : Status::Unavailable("memory server dead");
-  }
-  const uint64_t unlocked = btree::VersionOf(word) + 2;
-  std::vector<uint8_t> backup_img;
-  if (fabric().replicated()) {
-    backup_img.assign(buf, buf + page_size());
-    std::memcpy(backup_img.data() + btree::kVersionOffset, &unlocked, 8);
-  }
-  ctx_->round_trips.Inc();
-  std::vector<rdma::Fabric::ChainOp> chain;
-  chain.reserve(1 + 2 * fabric().replication());
-  chain.push_back(
-      rdma::Fabric::ChainOp::Write(sibling, sibling_buf, page_size()));
-  if (fabric().replicated()) {
-    // Sibling backups ride unfenced: the sibling is unreachable until the
-    // page WRITE below publishes the link, so an orphaned sibling replica
-    // (its chain cut by a mid-chain server death) is harmless garbage.
-    for (uint32_t r = 1; r < fabric().replication(); ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(sibling, r);
-      if (!fabric().ServerAlive(rep.server_id())) continue;
-      chain.push_back(rdma::Fabric::ChainOp::Write(rep, sibling_buf,
-                                                   page_size()));
-    }
-  }
-  chain.push_back(rdma::Fabric::ChainOp::Write(locked_at, buf, page_size()));
-  if (fabric().replicated()) {
-    for (uint32_t r = 0; r < fabric().replication(); ++r) {
-      const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
-      if (rep == locked_at || !fabric().ServerAlive(rep.server_id())) {
-        continue;
-      }
-      rdma::Fabric::ChainOp op = rdma::Fabric::ChainOp::Write(
-          rep, backup_img.data(), page_size());
-      op.fence_server = static_cast<int32_t>(locked_server);
-      chain.push_back(op);
-    }
-  }
-  chain.push_back(rdma::Fabric::ChainOp::Write(
-      locked_at.Plus(btree::kVersionOffset), &unlocked, 8));
-  const uint64_t chain_id = ctx_->trace().NextChainId();
-  std::vector<uint32_t> chain_servers;
-  if (ctx_->trace().in_span()) {
-    chain_servers.reserve(chain.size());
-    for (const rdma::Fabric::ChainOp& op : chain) {
-      chain_servers.push_back(op.target.server_id());
-    }
-  }
-  // Bounded by the verb retry budget. namtree-lint: bounded-loop(retry)
-  for (uint32_t attempt = 0;; ++attempt) {
-    const SimTime chain_t0 = TraceStart();
-    const rdma::VerbCompletion done =
-        co_await fabric().PostChain(ctx_->client_id(), chain);
-    for (const uint32_t server : chain_servers) {
-      TraceVerbEvent(metrics::TraceVerb::kWrite, server, chain_id, chain_t0);
-    }
-    if (!alive()) {
-      ctx_->lock_routes.erase(ptr.raw());
-      co_return Status::Unavailable("client crashed");
-    }
-    if (!fabric().ServerAlive(locked_server)) {
-      ctx_->lock_routes.erase(ptr.raw());
-      co_return fabric().replicated()
-          ? Status::Aborted("locked primary died during publication")
-          : Status::Unavailable("memory server dead");
-    }
-    if (done == rdma::VerbCompletion::kOk) break;
-    // Same resolution as WriteUnlockPage: the page version word decides
-    // whether the (idempotent) chain must be re-posted.
-    uint64_t now_word = 0;
-    const Status read_back = co_await ReadWord(
-        locked_at.Plus(btree::kVersionOffset), &now_word);
-    if (!read_back.ok()) {
-      ctx_->lock_routes.erase(ptr.raw());
-      co_return read_back;
-    }
-    if (now_word != word) break;  // the release landed; only ACKs were lost
     // namtree-lint: retry-ok(read-back proved the release missing; chain is byte-idempotent)
     if (policy.Exhausted(attempt + 1)) {
       ctx_->lock_routes.erase(ptr.raw());
@@ -895,29 +626,36 @@ sim::Task<Status> RemoteOps::WriteFreshPage(rdma::RemotePtr ptr,
 }
 
 sim::Task<AllocResult> RemoteOps::AllocPage(uint32_t server) {
-  uint32_t target = server;
-  if (!fabric().ServerAlive(target)) {
-    if (!fabric().replicated()) {
-      co_return AllocResult{Status::Unavailable("memory server dead"),
-                            rdma::RemotePtr::Null()};
-    }
-    // A dead home server's allocations move to the next live server; the
-    // new page's replica group is the formula group of its actual host.
-    const uint32_t n = fabric().num_memory_servers();
-    bool found = false;
-    for (uint32_t i = 1; i < n; ++i) {
-      const uint32_t candidate = (server + i) % n;
-      if (fabric().ServerAlive(candidate)) {
-        target = candidate;
-        found = true;
-        break;
+  const uint32_t n = fabric().num_memory_servers();
+  // Each pass either returns or finds its target dead, so at most one pass
+  // per server.
+  for (uint32_t pass = 0; pass < n; ++pass) {
+    uint32_t target = server;
+    if (!fabric().ServerAlive(target)) {
+      if (!fabric().replicated()) break;
+      // A dead home server's allocations move to the next live server; the
+      // new page's replica group is the formula group of its actual host.
+      uint32_t i = 1;
+      while (i < n && !fabric().ServerAlive((server + i) % n)) ++i;
+      if (i == n) {
+        co_return AllocResult{Status::Unavailable("all memory servers dead"),
+                              rdma::RemotePtr::Null()};
       }
+      target = (server + i) % n;
     }
-    if (!found) {
-      co_return AllocResult{Status::Unavailable("all memory servers dead"),
-                            rdma::RemotePtr::Null()};
+    const AllocResult alloc = co_await AllocPageOn(target);
+    // A target that died with the FAA in flight never moved its cursor;
+    // under replication the next pass skips it like a server that was
+    // already dead.
+    if (alloc.ok() || !alive() || fabric().ServerAlive(target)) {
+      co_return alloc;
     }
   }
+  co_return AllocResult{Status::Unavailable("memory server dead"),
+                        rdma::RemotePtr::Null()};
+}
+
+sim::Task<AllocResult> RemoteOps::AllocPageOn(uint32_t target) {
   const rdma::RemotePtr cursor =
       rdma::RemotePtr::Make(target, rdma::MemoryRegion::kAllocCursorOffset);
   const rdma::RetryPolicy policy = VerbPolicy();
@@ -995,7 +733,11 @@ sim::Task<AllocResult> RemoteOps::AllocPageRoundRobin() {
     const uint32_t server = ctx_->alloc_rr % servers;
     ctx_->alloc_rr++;
     if (!fabric().ServerAlive(server)) continue;
-    co_return co_await AllocPage(server);
+    const AllocResult alloc = co_await AllocPage(server);
+    // A drawn server that died mid-FAA is skipped like a dead one.
+    if (alloc.ok() || !alive() || fabric().ServerAlive(server)) {
+      co_return alloc;
+    }
   }
   co_return AllocResult{Status::Unavailable("all memory servers dead"),
                         rdma::RemotePtr::Null()};

@@ -134,30 +134,22 @@ class RemoteOps {
   sim::Task<PageReadResult> LockPage(rdma::RemotePtr ptr, uint8_t* buf);
 
   /// remote_writeUnlock: installs the modified local image (which must
-  /// still carry the lock bit) and releases the lock, bumping the version.
-  /// With FabricConfig::verb_chaining (default) this is one doorbell-
-  /// batched {page WRITE, unlock WRITE} chain — one doorbell, one
-  /// completion; with chaining disabled it falls back to an individually
-  /// signaled RDMA WRITE followed by FETCH_AND_ADD(+1). Under replication
-  /// the chain grows backup-page WRITEs (clean unlocked word, fenced on
-  /// the locked primary) between the page WRITE and the unlock; a primary
-  /// that died mid-publication surfaces kAborted so the op retries against
-  /// the promoted replica.
-  sim::Task<Status> WriteUnlockPage(rdma::RemotePtr ptr, const uint8_t* buf);
-
-  /// B-link split publication with one doorbell: chains {new-sibling
-  /// WRITE, page WRITE, unlock WRITE}. Chain members take effect in
-  /// posting order, so a reader can never follow the freshly published
-  /// sibling pointer in `buf` to a not-yet-written `sibling` page. Falls
-  /// back to the signaled sibling WRITE + WriteUnlockPage sequence when
-  /// verb chaining is disabled. Under replication both pages' backups ride
-  /// the same chain (sibling backups unfenced — an orphaned sibling
-  /// replica is unreachable garbage; page backups fenced on the locked
-  /// primary).
-  sim::Task<Status> WriteSiblingAndUnlockPage(rdma::RemotePtr sibling,
-                                              const uint8_t* sibling_buf,
-                                              rdma::RemotePtr ptr,
-                                              const uint8_t* buf);
+  /// still carry the lock bit) and releases the lock, bumping the version,
+  /// as one doorbell-batched {page WRITE, unlock WRITE} chain — one
+  /// doorbell, one completion. A B-link split passes its freshly written
+  /// right page as `sibling`: the chain then starts with the sibling
+  /// WRITE, and since members take effect in posting order a reader can
+  /// never follow the published sibling pointer in `buf` to a
+  /// not-yet-written page. Under replication the chain grows backup WRITEs
+  /// (sibling backups unfenced — an orphaned sibling replica is
+  /// unreachable garbage; page backups carry the clean unlocked word and
+  /// are fenced on the locked primary); a primary that died
+  /// mid-publication surfaces kAborted so the op retries against the
+  /// promoted replica.
+  sim::Task<Status> WriteUnlockPage(
+      rdma::RemotePtr ptr, const uint8_t* buf,
+      rdma::RemotePtr sibling = rdma::RemotePtr::Null(),
+      const uint8_t* sibling_buf = nullptr);
 
   /// Releases a lock without content changes (FAA only). A lock whose
   /// holding server died has evaporated with the server: OK at R>1.
@@ -170,19 +162,21 @@ class RemoteOps {
   sim::Task<Status> WriteFreshPage(rdma::RemotePtr ptr, const uint8_t* buf);
 
   /// RDMA_ALLOC on a specific server. Under replication a dead home
-  /// server's allocations move to the next live server; the stripe bound
-  /// surfaces kOutOfMemory and a dead fabric kUnavailable.
+  /// server's allocations move to the next live server, whether it died
+  /// before the allocation FAA or with the FAA in flight; at R=1 its death
+  /// surfaces kUnavailable. The stripe bound surfaces kOutOfMemory.
   sim::Task<AllocResult> AllocPage(uint32_t server);
 
   /// RDMA_ALLOC scattering allocations over all *live* memory servers
   /// round-robin (keeps the fine-grained distribution property under
-  /// splits).
+  /// splits). A drawn server that dies mid-FAA is skipped like one that
+  /// was dead at the draw, at any replication factor.
   sim::Task<AllocResult> AllocPageRoundRobin();
 
   // ---- Counted raw-verb helpers -------------------------------------------
   // The round-trip toll for client-visible verbs is paid here (or in
   // nam::ClientContext::Call for RPCs), never by hand at call sites, so
-  // batched and combined paths cannot miscount.
+  // batched paths cannot miscount.
 
   /// One counted 8-byte READ of a metadata word (catalog slots). No
   /// failover — region headers are unreplicated; the caller checks the
@@ -228,6 +222,10 @@ class RemoteOps {
   /// checks. Unavailable covers both a dead client and `at`'s server dying
   /// mid-read — ReadPage/ReadPageUnlocked disambiguate via ServerAlive.
   sim::Task<Status> ReadPageFrom(rdma::RemotePtr at, uint8_t* buf);
+
+  /// One allocation FAA on `target`'s cursor, resolving a lost completion
+  /// by reading the cursor back. kUnavailable when `target` died mid-FAA.
+  sim::Task<AllocResult> AllocPageOn(uint32_t target);
 
   // ---- Verb-event tracing --------------------------------------------------
   // Every counted verb above records a metrics::TraceEvent into the owning

@@ -540,8 +540,8 @@ sim::Task<Status> TraversalEngine::InstallSeparator(RemoteOps& ops,
       // One chained {right WRITE, left WRITE, unlock} publication; a crash
       // drops the unexecuted tail, orphans the lock on `ptr` (lease-steal
       // reclaims it) and leaks the unpublished right node — both sound.
-      const Status wu = co_await ops.WriteSiblingAndUnlockPage(
-          new_right, rimage.data(), ptr, buf);
+      const Status wu =
+          co_await ops.WriteUnlockPage(ptr, buf, new_right, rimage.data());
       if (wu.IsAborted()) {
         // Locked primary died mid-split-publication: the promoted replica
         // still shows the pre-split image and the lock evaporated. The

@@ -165,8 +165,6 @@ class ClientContext {
                              "exponential-backoff sleeps while spinning");
     registry.RegisterCounter(lock_steals, "client.lock_steals", labels,
                              "orphaned locks reclaimed from dead holders");
-    registry.RegisterCounter(combined_reads, "client.combined_reads", labels,
-                             "READs served by attaching to in-flight ones");
     registry.RegisterCounter(speculative_hits, "client.speculative_hits",
                              labels, "speculative descents fully validated");
     registry.RegisterCounter(mispredicts, "client.mispredicts", labels,
@@ -245,10 +243,6 @@ class ClientContext {
   metrics::Counter lock_waits;      ///< remote spinlock re-reads
   metrics::Counter backoff_rounds;  ///< backoff sleeps while spinning
   metrics::Counter lock_steals;     ///< orphaned locks reclaimed from dead
-  /// Page reads served by attaching to another lane's in-flight READ
-  /// (FabricConfig::read_combining); these do not count as round trips —
-  /// the saved duplicate verb is exactly what the combiner measures.
-  metrics::Counter combined_reads;
   /// Speculative descents (TraversalEngine::Options::speculative_descent)
   /// whose predicted root->leaf path validated without a fallback read.
   metrics::Counter speculative_hits;

@@ -102,11 +102,6 @@ Fabric::Fabric(sim::Simulator& simulator, const FabricConfig& config)
                            "chain members riding a doorbell unsignaled");
   metrics_.RegisterCounter(doorbells_, "fabric.doorbells",
                            {}, "doorbell rings (one per verb or chain)");
-  metrics_.RegisterCounter(combined_reads_, "fabric.combined_reads", {},
-                           "READs combined away onto in-flight ones");
-  metrics_.RegisterCounter(
-      duplicate_inflight_reads_, "fabric.duplicate_inflight_reads", {},
-      "same-client READs posted while an identical one was in flight");
   metrics_.RegisterCounter(dropped_verbs_, "fabric.dropped_verbs", {},
                            "verbs dropped at post or effect time");
   metrics_.RegisterCounter(dropped_responses_, "fabric.dropped_responses",
@@ -875,56 +870,6 @@ sim::Task<VerbCompletion> Fabric::ReadBatch(uint32_t client,
   co_return (co_await Post(client, reads, kChainProfile)).completion;
 }
 
-sim::Task<CombinedReadResult> Fabric::CombinedRead(uint32_t client,
-                                                   RemotePtr src, void* dst,
-                                                   uint32_t len) {
-  if (inflight_reads_.size() <= client) inflight_reads_.resize(client + 1);
-  const auto same_target = [&](const InflightRead& r) {
-    return r.src == src.raw() && r.len == len;
-  };
-  const std::vector<InflightRead>& mine = inflight_reads_[client];
-  auto it = std::find_if(mine.begin(), mine.end(), same_target);
-  if (it != mine.end()) {
-    if (config_.read_combining) {
-      // Attach to the outstanding verb: no doorbell, no duplicate. The
-      // shared_ptr keeps the landing buffer alive past the poster's erase.
-      std::shared_ptr<PendingRead> pending = it->pending;
-      combined_reads_.Inc();
-      co_await pending->done;
-      std::memcpy(dst, pending->data.data(), len);
-      co_return CombinedReadResult{true, pending->completion};
-    }
-    // Without combining the duplicate posts anyway: the waste combining
-    // exists to remove.
-    duplicate_inflight_reads_.Inc();
-  }
-  std::shared_ptr<PendingRead> pending;
-  if (config_.read_combining) {
-    pending = std::make_shared<PendingRead>(simulator_);
-    pending->data.resize(len);
-  }
-  inflight_reads_[client].push_back({src.raw(), len, pending});
-  ChainOp read =
-      ChainOp::Read(src, pending ? pending->data.data() : dst, len);
-  const VerbCompletion completion =
-      (co_await Post(client, {&read, 1}, kSignaledProfile)).completion;
-  std::vector<InflightRead>& now = inflight_reads_[client];
-  *std::find_if(now.begin(), now.end(), [&](const InflightRead& r) {
-    return same_target(r) && r.pending == pending;
-  }) = std::move(now.back());
-  now.pop_back();
-  if (pending) {
-    // Dropped verbs (dead client/server) leave `data` zero-initialised —
-    // as unspecified as any dropped READ's buffer; every caller re-checks
-    // liveness after resuming, poster and waiters alike. A lost completion
-    // propagates to every combined waiter (they share the missing ack).
-    pending->completion = completion;
-    pending->done.Set();
-    std::memcpy(dst, pending->data.data(), len);
-  }
-  co_return CombinedReadResult{false, completion};
-}
-
 sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
                                     RpcRequest request) {
   // The one RPC resend discipline (satellite of docs/fault_model.md §8):
@@ -1147,7 +1092,6 @@ void Fabric::ResetStats() {
   signaled_verbs_.Reset();
   unsignaled_verbs_.Reset();
   doorbells_.Reset();
-  combined_reads_.Reset();
 }
 
 }  // namespace namtree::rdma

@@ -50,14 +50,6 @@ struct AtomicResult {
   bool ok() const { return completion == VerbCompletion::kOk; }
 };
 
-/// Outcome of Fabric::CombinedRead: whether the request attached to an
-/// in-flight READ, and how the underlying verb completed.
-struct CombinedReadResult {
-  bool combined = false;
-  VerbCompletion completion = VerbCompletion::kOk;
-  bool ok() const { return completion == VerbCompletion::kOk; }
-};
-
 /// A READ chain member's image left in place (head-node prefetch, §4.3).
 /// The member's effect does not copy the target bytes: it pins the target,
 /// and `data()` points into the target region. A later WRITE, CAS or FAA
@@ -269,26 +261,6 @@ class Fabric {
   sim::Task<VerbCompletion> Read(uint32_t client, RemotePtr src, void* dst,
                                  uint32_t len);
 
-  /// READ with in-flight combining (FabricConfig::read_combining): if this
-  /// client already has an identical (src, len) READ outstanding, attach
-  /// to it — no verb is posted; the caller resumes when the outstanding
-  /// read's completion arrives and receives the bytes it delivered.
-  /// Returns true when the request was combined, false when it posted the
-  /// verb itself. With the knob off this is Read (returns false), and a
-  /// request identical to one still in flight from the same client counts
-  /// in fabric.duplicate_inflight_reads.
-  ///
-  /// A combined waiter observes a snapshot taken at the primary verb's
-  /// effect time, which may precede its own call by the in-flight window —
-  /// indistinguishable from having issued the read slightly earlier, so
-  /// the OLC staleness argument (validate version, chase right) covers it.
-  /// Failure symmetry: if the verb was dropped (dead client or server) the
-  /// waiter's buffer is as unspecified as the poster's, and both re-check
-  /// liveness after resuming. A combined waiter inherits the primary
-  /// verb's completion outcome.
-  sim::Task<CombinedReadResult> CombinedRead(uint32_t client, RemotePtr src,
-                                             void* dst, uint32_t len);
-
   /// One verb descriptor: an element of a doorbell-batched chain
   /// (PostChain, ReadBatch), and what every standalone one-sided verb is
   /// built from. kEpoch is ReadClientEpoch's effect: an 8-byte READ of
@@ -466,12 +438,6 @@ class Fabric {
   ///                            their own completion
   ///   fabric.doorbells         doorbell rings: one per standalone verb,
   ///                            one per chain
-  ///   fabric.combined_reads    READs combined away by CombinedRead
-  ///                            (verbs never posted)
-  ///   fabric.duplicate_inflight_reads  CombinedRead calls with combining
-  ///                            off that posted a READ identical to one
-  ///                            the same client still had in flight — the
-  ///                            waste read_combining removes (never reset)
   ///   fabric.dropped_verbs     verbs dropped because their client was dead
   ///                            at post or effect time (never reset)
   ///   fabric.dropped_responses RPC responses whose caller had abandoned
@@ -852,25 +818,6 @@ class Fabric {
   /// Doorbell-chain ids handed to the auditor so a race report can name the
   /// chain both verbs rode in (0 = standalone verb).
   uint64_t next_chain_id_ = 1;
-  /// Each client's outstanding CombinedRead targets, indexed by client:
-  /// one entry per posted READ. With FabricConfig::read_combining the
-  /// poster owns a PendingRead that later same-target requesters park on
-  /// (`done`) and copy out of (`data`); shared ownership keeps the landing
-  /// buffer alive for waiters that resume after the poster's entry is
-  /// gone. Without combining, duplicates post too and are counted.
-  struct PendingRead {
-    explicit PendingRead(sim::Simulator& simulator) : done(simulator) {}
-    std::vector<uint8_t> data;
-    sim::SimEvent done;
-    /// Completion outcome of the primary verb, inherited by every waiter.
-    VerbCompletion completion = VerbCompletion::kOk;
-  };
-  struct InflightRead {
-    uint64_t src = 0;
-    uint32_t len = 0;
-    std::shared_ptr<PendingRead> pending;  ///< combining only
-  };
-  std::vector<std::vector<InflightRead>> inflight_reads_;
   /// Recycled member arrays of multi-member posts (MemberLease).
   std::vector<std::vector<PostMember>> member_pool_;
   /// Pinned in-place images (see PinImage); nullptr = empty bucket.
@@ -884,16 +831,14 @@ class Fabric {
   metrics::Counter inplace_served_;
   metrics::Counter inplace_copied_;
   // Registered in the constructor under the family names documented at
-  // metrics(); ResetStats() zeroes the doorbell, signaled/unsignaled and
-  // combined-read counters, the rest run for the fabric's lifetime.
-  metrics::Counter combined_reads_;
+  // metrics(); ResetStats() zeroes the doorbell and signaled/unsignaled
+  // counters, the rest run for the fabric's lifetime.
   metrics::Counter dropped_verbs_;
   metrics::Counter dropped_responses_;
   metrics::Counter rpc_timeouts_;
   metrics::Counter signaled_verbs_;
   metrics::Counter unsignaled_verbs_;
   metrics::Counter doorbells_;
-  metrics::Counter duplicate_inflight_reads_;
   // Network-fault event families (never reset).
   metrics::Counter net_dropped_verbs_;
   metrics::Counter net_dropped_completions_;

@@ -212,23 +212,6 @@ struct FabricConfig {
   }
 
   // ---- Client-side protocol knobs ----------------------------------------
-  /// Doorbell-batched verb chains (Fabric::PostChain) on the hot write
-  /// paths: WriteUnlockPage collapses {page WRITE, unlock WRITE} into one
-  /// chain, and B-link splits chain {new-sibling WRITE, page WRITE,
-  /// unlock WRITE}. Disabling falls back to individually signaled verbs
-  /// (WRITE + FAA unlock), bit-identical to the pre-chain protocol.
-  /// READ-only chains (head-node prefetch) are unaffected by this knob.
-  bool verb_chaining = true;
-  /// In-flight read combining: when several coroutines of one client
-  /// (RunConfig::pipeline_depth lanes) await the same (server, offset,
-  /// len) READ concurrently, later requesters attach to the one
-  /// outstanding verb instead of posting duplicates — they resume when its
-  /// completion arrives and copy out of the shared landing buffer. Pure
-  /// client-side NIC-queue discipline: no memory-server cooperation, no
-  /// protocol change (the combined read observes the same bytes the verb
-  /// delivered). Off by default — bit-identical to independent READs;
-  /// fabric.duplicate_inflight_reads counts what stays on the table.
-  bool read_combining = false;
   /// Initial backoff before re-polling a locked remote node (remote
   /// spinlock). Consecutive re-polls back off exponentially (with jitter)
   /// up to `lock_backoff_max_ns`.

@@ -102,10 +102,6 @@ struct RunResult {
   uint64_t lock_steals() const { return counters.Value("client.lock_steals"); }
   /// Clients crash-injected away during the run.
   uint64_t dead_clients() const { return counters.Value("ycsb.dead_clients"); }
-  /// READs served by attaching to in-flight ones.
-  uint64_t combined_reads() const {
-    return counters.Value("client.combined_reads");
-  }
   /// Speculative descents fully served by the one-RTT batch.
   uint64_t speculative_hits() const {
     return counters.Value("client.speculative_hits");

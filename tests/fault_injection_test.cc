@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "index/coarse_one_sided.h"
 #include "index/inspector.h"
 #include "index/remote_ops.h"
 #include "nam/cluster.h"
@@ -355,7 +356,7 @@ TEST(OrphanedLockTest, WaiterStealsLockFromDeadHolderAfterLease) {
       uint8_t* buf = ops.ctx().page_a();
       EXPECT_TRUE((co_await ops.LockPage(ptr, buf)).ok());
       // The compute process dies between acquiring the lock and writing
-      // back: the unlock WRITE + FAA are dropped in flight.
+      // back: the write-unlock chain is dropped in flight.
       ops.fabric().KillClient(ops.ctx().client_id());
       *unlock_status = co_await ops.WriteUnlockPage(ptr, buf);
     }
@@ -613,7 +614,7 @@ TEST(ChainCrashTest, WriteUnlockChainDropsTailAtomically) {
 }
 
 // The 3-op split chain {sibling WRITE, page WRITE, unlock WRITE} of
-// RemoteOps::WriteSiblingAndUnlockPage: chain members take effect in
+// RemoteOps::WriteUnlockPage with a sibling: chain members take effect in
 // posting order, so whenever the left page's freshly published sibling
 // pointer is visible, the sibling page it names must already be fully
 // written. A crash may leak an unpublished sibling (written but never
@@ -651,8 +652,7 @@ TEST(ChainCrashTest, SplitChainNeverPublishesUnwrittenSibling) {
         btree::PageView rview(rimage.data(), kPage);
         rview.InitLeaf(btree::kInfinityKey, 0);
         EXPECT_TRUE(rview.LeafInsert(700, 7));
-        (void)co_await ops.WriteSiblingAndUnlockPage(sib, rimage.data(), left,
-                                                     buf);
+        (void)co_await ops.WriteUnlockPage(left, buf, sib, rimage.data());
       }
     };
     sim::Spawn(cluster.simulator(), Writer::Go(RemoteOps(writer), left, sib));
@@ -974,8 +974,7 @@ TEST(ServerKillChainTest, SplitChainServerDeathIsSanctioned) {
         btree::PageView rview(rimage.data(), kPage);
         rview.InitLeaf(btree::kInfinityKey, 0);
         EXPECT_TRUE(rview.LeafInsert(700, 7));
-        *out = co_await ops.WriteSiblingAndUnlockPage(sib, rimage.data(),
-                                                      left, buf);
+        *out = co_await ops.WriteUnlockPage(left, buf, sib, rimage.data());
       }
     };
     Status status;
@@ -1132,6 +1131,151 @@ TEST(ServerLossTest, ReplicatedRunSurvivesServerDeathAcrossSeeds) {
 
     const auto report = IndexInspector::Inspect(cluster.fabric(), index);
     EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.ToString();
+  }
+}
+
+// A split's round-robin allocation whose drawn server dies with the FAA in
+// flight (the cursor never moves) must move on to the next live server
+// instead of failing the insert: at R=2 inside AllocPage, the re-draw every
+// caller gets, and at R=1 in AllocPageRoundRobin. Single client, one leaf:
+// a probe run finds a server that an insert into the leaf never touches
+// and counts that server's verb effects up to the insert that splits; the
+// split is then replayed with a crash point on exactly its allocation FAA,
+// the first verb the drawn server executes during that insert.
+template <typename Index>
+struct SplitAllocRig {
+  explicit SplitAllocRig(rdma::FabricConfig fc)
+      : cluster(fc, 16 << 20), index(cluster, Config()) {
+    std::vector<KV> data;
+    for (uint64_t i = 0; i < 100; ++i) data.push_back({i * 64, i});
+    EXPECT_TRUE(index.BulkLoad(data).ok());
+    cluster.fabric().SetNumClients(1);
+    ctx = std::make_unique<nam::ClientContext>(0, cluster.fabric(), 256, 1);
+  }
+
+  static rdma::FabricConfig Fabric(uint32_t replication = 2) {
+    rdma::FabricConfig fc;
+    fc.num_memory_servers = 4;
+    fc.replication_factor = replication;
+    return fc;
+  }
+
+  static IndexConfig Config() {
+    IndexConfig config;
+    config.page_size = 256;
+    return config;
+  }
+
+  Status Insert(btree::Key key) {
+    struct Driver {
+      static sim::Task<> Go(Index& index, nam::ClientContext& ctx,
+                            btree::Key key, Status* out) {
+        *out = co_await index.Insert(ctx, key, key);
+      }
+    };
+    Status status;
+    sim::Spawn(cluster.simulator(), Driver::Go(index, *ctx, key, &status));
+    cluster.simulator().Run();
+    return status;
+  }
+
+  Cluster cluster;
+  Index index;
+  std::unique_ptr<nam::ClientContext> ctx;
+};
+
+TEST(ServerLossTest, SplitAllocationMovesOnWhenDrawnServerDiesMidFaa) {
+  constexpr uint32_t kServers = 4;
+  for (const uint32_t replication : {1u, 2u}) {
+    SCOPED_TRACE(replication == 1 ? "R=1" : "R=2");
+    // Probe: which servers does a plain insert into the leaf of key 0 touch?
+    SplitAllocRig<FineGrainedIndex> probe(
+        SplitAllocRig<FineGrainedIndex>::Fabric(replication));
+    rdma::Fabric& pf = probe.cluster.fabric();
+    std::vector<uint64_t> before(kServers);
+    for (uint32_t s = 0; s < kServers; ++s) {
+      before[s] = pf.server_verbs_executed(s);
+    }
+    ASSERT_TRUE(probe.Insert(1).ok());
+    ASSERT_EQ(probe.ctx->alloc_rr, 0u) << "the first insert already split";
+    uint32_t drawn = kServers;
+    for (uint32_t s = 0; s < kServers && drawn == kServers; ++s) {
+      if (pf.server_verbs_executed(s) == before[s]) drawn = s;
+    }
+    ASSERT_LT(drawn, kServers) << "every server serves the leaf's insert path";
+
+    // Fill the leaf until an insert draws an allocation at `drawn`.
+    probe.ctx->alloc_rr = drawn;
+    btree::Key split_key = 0;
+    uint64_t drawn_effects = 0;
+    for (btree::Key k = 2; k < 64 && split_key == 0; ++k) {
+      drawn_effects = pf.server_verbs_executed(drawn);
+      ASSERT_TRUE(probe.Insert(k).ok());
+      if (probe.ctx->alloc_rr != drawn) split_key = k;
+    }
+    ASSERT_NE(split_key, 0u) << "the leaf never split";
+
+    // Replay with `drawn` dying on its first verb of the splitting insert.
+    rdma::FabricConfig fc =
+        SplitAllocRig<FineGrainedIndex>::Fabric(replication);
+    fc.server_crash_points = {{drawn, drawn_effects}};
+    SplitAllocRig<FineGrainedIndex> rig(fc);
+    ASSERT_TRUE(rig.Insert(1).ok());
+    rig.ctx->alloc_rr = drawn;
+    for (btree::Key k = 2; k < split_key; ++k) {
+      ASSERT_TRUE(rig.Insert(k).ok()) << "key " << k;
+    }
+    EXPECT_TRUE(rig.cluster.fabric().ServerAlive(drawn));
+    const Status split = rig.Insert(split_key);
+    EXPECT_FALSE(rig.cluster.fabric().ServerAlive(drawn))
+        << "the crash point missed the allocation FAA";
+    EXPECT_TRUE(split.ok()) << split.ToString();
+    EXPECT_TRUE(rig.Insert(split_key + 1).ok());
+    EXPECT_TRUE(rig.cluster.fabric().CheckAuditClean().ok())
+        << rig.cluster.fabric().CheckAuditClean().ToString();
+    const auto report =
+        IndexInspector::Inspect(rig.cluster.fabric(), rig.index);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  }
+}
+
+// The coarse-grained one-sided design allocates a partition's pages on its
+// owner server, a fixed-server AllocPage caller. Under R=2 the owner dying
+// at any verb of a splitting insert, its allocation FAA included, must be
+// survived: a mid-FAA death moves the allocation to the next live server
+// as a death before the draw does.
+TEST(ServerLossTest, OwnerSplitSurvivesOwnerDeathAtEveryVerb) {
+  using Rig = SplitAllocRig<CoarseOneSidedIndex>;
+  Rig probe(Rig::Fabric());
+  const rdma::MemoryRegion& owner = probe.cluster.memory_server(0).region();
+  btree::Key split_key = 0;
+  uint64_t first = 0;
+  for (btree::Key k = 1; k < 64 && split_key == 0; ++k) {
+    const uint64_t cursor = owner.allocated();
+    first = probe.cluster.fabric().server_verbs_executed(0);
+    ASSERT_TRUE(probe.Insert(k).ok());
+    if (owner.allocated() != cursor) split_key = k;
+  }
+  ASSERT_NE(split_key, 0u) << "the owner's leaf never split";
+  const uint64_t last = probe.cluster.fabric().server_verbs_executed(0);
+
+  for (uint64_t at = first; at < last; ++at) {
+    SCOPED_TRACE("owner dies at verb effect " + std::to_string(at));
+    rdma::FabricConfig fc = Rig::Fabric();
+    fc.server_crash_points = {{0, at}};
+    Rig rig(fc);
+    for (btree::Key k = 1; k < split_key; ++k) {
+      ASSERT_TRUE(rig.Insert(k).ok()) << "key " << k;
+    }
+    const Status split = rig.Insert(split_key);
+    EXPECT_FALSE(rig.cluster.fabric().ServerAlive(0));
+    EXPECT_TRUE(split.ok()) << split.ToString();
+    EXPECT_TRUE(rig.Insert(split_key + 1).ok());
+    EXPECT_TRUE(rig.cluster.fabric().CheckAuditClean().ok())
+        << rig.cluster.fabric().CheckAuditClean().ToString();
+    const auto report =
+        IndexInspector::Inspect(rig.cluster.fabric(), rig.index);
+    EXPECT_TRUE(report.ok()) << report.ToString();
   }
 }
 

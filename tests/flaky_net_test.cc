@@ -276,10 +276,10 @@ using sim::Task;
 
 using Kind = rdma::FabricConfig::VerbFaultPoint::Kind;
 
-// One leaf page on server 0; verb post-order of the driver below:
+// One leaf page on server 0; verb post-order of the drivers below:
 //   #0 READ (LockPage's unlocked read)   #1 CAS (lock acquire)
-//   unchained unlock: #2 page WRITE      #3 FAA (release)
-// chained unlock: #2 is the whole {page WRITE, unlock WRITE} doorbell.
+//   LockInsertUnlock: #2 the whole {page WRITE, unlock WRITE} doorbell
+//   LockRelease:      #2 FAA (UnlockPage's release)
 struct AmbiguityRig {
   explicit AmbiguityRig(rdma::FabricConfig fc) : cluster(fc, 1 << 20) {
     ptr = cluster.memory_server(0).region().AllocateLocal(kPage);
@@ -310,6 +310,12 @@ Task<> LockInsertUnlock(RemoteOps ops, rdma::RemotePtr ptr) {
   EXPECT_TRUE((co_await ops.WriteUnlockPage(ptr, buf)).ok());
 }
 
+Task<> LockRelease(RemoteOps ops, rdma::RemotePtr ptr) {
+  uint8_t* buf = ops.ctx().page_a();
+  EXPECT_TRUE((co_await ops.LockPage(ptr, buf)).ok());
+  EXPECT_TRUE((co_await ops.UnlockPage(ptr)).ok());
+}
+
 TEST(FlakyAmbiguityTest, LostButLandedLockCasClaimedViaStampReadBack) {
   // The CAS executes but its completion is dropped: the holder-stamp
   // read-back must prove the swap landed, so the client owns the lock
@@ -338,18 +344,17 @@ TEST(FlakyAmbiguityTest, LostUnlockFaaCompletionNotDoubleReleased) {
   // read-back shows the lock already released, so the client must NOT add
   // again (a second +1 would corrupt the version protocol).
   auto fc = AmbiguityRig::Config();
-  fc.verb_chaining = false;
-  fc.verb_fault_points = {{0, 3, Kind::kDropCompletion}};
+  fc.verb_fault_points = {{0, 2, Kind::kDropCompletion}};
   AmbiguityRig rig(fc);
   ClientContext ctx(0, rig.cluster.fabric(), kPage, 1);
-  Spawn(rig.cluster.simulator(), LockInsertUnlock(RemoteOps(ctx), rig.ptr));
+  Spawn(rig.cluster.simulator(), LockRelease(RemoteOps(ctx), rig.ptr));
   rig.cluster.simulator().Run();
 
   PageView view = rig.RemoteView();
   EXPECT_FALSE(IsLocked(view.version_word()));
   EXPECT_EQ(VersionOf(view.version_word()), 2u)
       << "the lost-completion FAA was re-posted despite having landed";
-  EXPECT_EQ(view.count(), 1u);
+  EXPECT_EQ(view.count(), 0u);
   EXPECT_TRUE(rig.cluster.fabric().CheckAuditClean().ok())
       << rig.cluster.fabric().CheckAuditClean().ToString();
 }
@@ -358,17 +363,16 @@ TEST(FlakyAmbiguityTest, DroppedUnlockFaaVerbIsRepostedAfterReadBack) {
   // The release FAA never reaches the NIC: the read-back shows the word
   // still locked by us, sanctioning exactly one re-post.
   auto fc = AmbiguityRig::Config();
-  fc.verb_chaining = false;
-  fc.verb_fault_points = {{0, 3, Kind::kDropVerb}};
+  fc.verb_fault_points = {{0, 2, Kind::kDropVerb}};
   AmbiguityRig rig(fc);
   ClientContext ctx(0, rig.cluster.fabric(), kPage, 1);
-  Spawn(rig.cluster.simulator(), LockInsertUnlock(RemoteOps(ctx), rig.ptr));
+  Spawn(rig.cluster.simulator(), LockRelease(RemoteOps(ctx), rig.ptr));
   rig.cluster.simulator().Run();
 
   PageView view = rig.RemoteView();
   EXPECT_FALSE(IsLocked(view.version_word()));
   EXPECT_EQ(VersionOf(view.version_word()), 2u);
-  EXPECT_EQ(view.count(), 1u);
+  EXPECT_EQ(view.count(), 0u);
   EXPECT_GE(ctx.verb_retry_attempts, 1u) << "the lost FAA was never re-posted";
   EXPECT_TRUE(rig.cluster.fabric().CheckAuditClean().ok())
       << rig.cluster.fabric().CheckAuditClean().ToString();
@@ -380,11 +384,10 @@ TEST(FlakyAmbiguityTest, UnsanctionedDuplicateReleaseFaaTripsAuditor) {
   // it (FAA duplication is exactly what the retry discipline exists to
   // avoid — this pins the detector that keeps everyone honest).
   auto fc = AmbiguityRig::Config();
-  fc.verb_chaining = false;
-  fc.verb_fault_points = {{0, 3, Kind::kDuplicate}};
+  fc.verb_fault_points = {{0, 2, Kind::kDuplicate}};
   AmbiguityRig rig(fc);
   ClientContext ctx(0, rig.cluster.fabric(), kPage, 1);
-  Spawn(rig.cluster.simulator(), LockInsertUnlock(RemoteOps(ctx), rig.ptr));
+  Spawn(rig.cluster.simulator(), LockRelease(RemoteOps(ctx), rig.ptr));
   rig.cluster.simulator().Run();
 
   EXPECT_EQ(rig.cluster.fabric().metrics().Value("fabric.net.duplicates"),

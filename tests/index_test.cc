@@ -746,7 +746,6 @@ TEST_P(IndexDesignTest, RegistryMirrorsContextCounters) {
   parity("client.lock_waits", a.lock_waits, b.lock_waits);
   parity("client.backoff_rounds", a.backoff_rounds, b.backoff_rounds);
   parity("client.lock_steals", a.lock_steals, b.lock_steals);
-  parity("client.combined_reads", a.combined_reads, b.combined_reads);
   EXPECT_GT(registry.Value("client.round_trips"), 0u);
 
   // A Snapshot window over more work isolates exactly that work.

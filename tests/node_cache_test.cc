@@ -648,13 +648,12 @@ TEST(CachedFineGrainedTest, StaleCacheStaysCorrectUnderInserts) {
 
 /// One stale-cache round: a reader warms its inner-node cache, a second
 /// client splits many leaves (publishing through the doorbell-batched
-/// write+unlock / split chains when `verb_chaining` is on), then the
-/// reader — still routing through its stale cached inner nodes — looks up
-/// every moved key. Returns how many it lost.
-uint64_t StaleReaderMisses(bool verb_chaining) {
+/// write+unlock / split chains), then the reader — still routing through
+/// its stale cached inner nodes — looks up every moved key. Returns how
+/// many it lost.
+uint64_t StaleReaderMisses() {
   rdma::FabricConfig fc;
   fc.num_memory_servers = 2;
-  fc.verb_chaining = verb_chaining;
   Cluster cluster(fc, 32 << 20);
   IndexConfig ic;
   ic.page_size = 256;
@@ -702,11 +701,9 @@ uint64_t StaleReaderMisses(bool verb_chaining) {
 TEST(CachedFineGrainedTest, StaleCacheCatchesChainedLeafWrites) {
   // A stale cached inner node routes the reader to a pre-split leaf; the
   // version-checked leaf read plus the B-link chase must recover every key
-  // that a *chained* {write, unlock} publication moved — and behave
-  // identically with chaining disabled.
-  EXPECT_EQ(StaleReaderMisses(true), 0u)
+  // that a *chained* {write, unlock} publication moved.
+  EXPECT_EQ(StaleReaderMisses(), 0u)
       << "a chained write+unlock slipped past the stale-cache version check";
-  EXPECT_EQ(StaleReaderMisses(false), 0u);
 }
 
 TEST(CachedFineGrainedTest, SplitSeedsWriterCacheWithPublishedParent) {
