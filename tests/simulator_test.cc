@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <cstdint>
+#include <exception>
+#include <limits>
+#include <queue>
+#include <random>
 #include <vector>
 
 #include "sim/link.h"
@@ -266,6 +273,309 @@ TEST(SimulatorTest, RunUntilIgnoresCancelledFarFutureTimer) {
   EXPECT_FALSE(s.RunUntil(2'000'000));
   EXPECT_TRUE(fired);
   EXPECT_EQ(s.now(), 100);
+}
+
+/// Starts `task` as a root coroutine at absolute time `t` (Spawn starts it
+/// at now()).
+void SpawnAt(Simulator& s, SimTime t, Task<> task) {
+  auto h = task.Release();
+  h.promise().detached = true;
+  s.ScheduleAt(t, h);
+}
+
+Task<> Mark(Simulator& s, int id, std::vector<int>* order,
+            std::vector<SimTime>* stamps) {
+  order->push_back(id);
+  stamps->push_back(s.now());
+  co_return;
+}
+
+// A RunUntil that stops short of the queue's minimum must not commit the
+// queue to that minimum: an event scheduled afterwards for an earlier time
+// still fires first.
+TEST(SimulatorTest, RunUntilThenEarlierScheduleKeepsOrder) {
+  Simulator s;
+  std::vector<int> order;
+  std::vector<SimTime> stamps;
+  SpawnAt(s, 1000, Mark(s, 1, &order, &stamps));
+  EXPECT_TRUE(s.RunUntil(100));
+  EXPECT_TRUE(s.RunUntil(200));
+  EXPECT_EQ(s.now(), 200);
+  Spawn(s, RecordAt(s, 300, 2, &order));  // fires at 500
+  EXPECT_EQ(s.Run(), 1000);
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(stamps, (std::vector<SimTime>{1000}));
+}
+
+// Discarding a cancelled minimum leaves the clock where it was; events
+// scheduled afterwards between the old clock and the cancelled time keep
+// their order.
+TEST(SimulatorTest, CancelledMinimumThenEarlierScheduleKeepsOrder) {
+  Simulator s;
+  s.Cancel(s.ScheduleCancellableAt(1000, std::noop_coroutine()));
+  EXPECT_EQ(s.Run(), 0);
+  std::vector<int> order;
+  std::vector<SimTime> stamps;
+  SpawnAt(s, 1001, Mark(s, 2, &order, &stamps));
+  SpawnAt(s, 500, Mark(s, 1, &order, &stamps));
+  EXPECT_EQ(s.Run(), 1001);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(stamps, (std::vector<SimTime>{500, 1001}));
+
+  // The same through RunUntil: the cancelled event is the only one due.
+  s.Cancel(s.ScheduleCancellableAt(3000, std::noop_coroutine()));
+  EXPECT_FALSE(s.RunUntil(4000));
+  EXPECT_EQ(s.now(), 1001);
+  SpawnAt(s, 3001, Mark(s, 4, &order, &stamps));
+  SpawnAt(s, 2000, Mark(s, 3, &order, &stamps));
+  EXPECT_EQ(s.Run(), 3001);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+// ---- Differential check against a reference event queue -----------------
+
+/// splitmix64, the mixer behind ConfigureSchedule's tie-break and jitter.
+/// Restated here so the reference model pins the published schedule
+/// function rather than sharing the simulator's code.
+uint64_t RefMix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// Reference model of the simulator's event order: a binary heap on
+/// (time, tie, seq), fed the same sequence numbers, tie-break keys and
+/// jitter that ConfigureSchedule documents.
+class ReferenceQueue {
+ public:
+  struct Entry {
+    SimTime time;
+    uint64_t tie;
+    uint64_t seq;
+    int id;
+    bool operator>(const Entry& o) const {
+      if (time != o.time) return time > o.time;
+      if (tie != o.tie) return tie > o.tie;
+      return seq > o.seq;
+    }
+  };
+
+  ReferenceQueue(uint64_t seed, SimTime jitter)
+      : seed_(seed), jitter_(jitter) {}
+
+  /// Mirrors ScheduleAt at clock `now`; returns the event's seq.
+  uint64_t Schedule(SimTime now, SimTime t, int id) {
+    const uint64_t seq = next_seq_++;
+    const uint64_t tie = seed_ == 0 ? seq : RefMix64(seq ^ RefMix64(seed_));
+    const SimTime jitter =
+        jitter_ <= 0
+            ? 0
+            : static_cast<SimTime>(
+                  RefMix64(seq * 0x632BE59BD9B4E019ull + seed_) %
+                  static_cast<uint64_t>(jitter_ + 1));
+    heap_.push(Entry{std::max(t, now) + jitter, tie, seq, id});
+    return seq;
+  }
+
+  void Cancel(uint64_t seq) { cancelled_.push_back(seq); }
+
+  /// Drops cancelled entries at the head; then returns the next live entry
+  /// due by `deadline`, or nullptr when none is.
+  const Entry* Next(SimTime deadline) {
+    while (!heap_.empty() && heap_.top().time <= deadline) {
+      auto it = std::find(cancelled_.begin(), cancelled_.end(),
+                          heap_.top().seq);
+      if (it == cancelled_.end()) return &heap_.top();
+      cancelled_.erase(it);
+      heap_.pop();
+    }
+    return nullptr;
+  }
+
+  void Pop() { heap_.pop(); }
+  size_t size() const { return heap_.size(); }
+
+ private:
+  uint64_t seed_;
+  SimTime jitter_;
+  uint64_t next_seq_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  std::vector<uint64_t> cancelled_;
+};
+
+/// Coroutine that reports its resumption once, then parks at its final
+/// suspend point until the driver destroys it.
+struct Probe {
+  struct promise_type {
+    Probe get_return_object() {
+      return Probe{std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() noexcept { std::terminate(); }
+  };
+  std::coroutine_handle<promise_type> handle;
+};
+
+class DifferentialDriver;
+Probe Fire(DifferentialDriver* driver, int id);
+
+/// Drives a Simulator and a ReferenceQueue with one random script: events
+/// scheduled from outside the run and from inside handlers (delays of 0,
+/// repeated absolute times, short and long gaps), cancels of armed timers,
+/// and RunUntil deadlines. Every resumption is checked against the model's
+/// next event (same id, same now()).
+class DifferentialDriver {
+ public:
+  DifferentialDriver(uint64_t script_seed, uint64_t schedule_seed,
+                     SimTime jitter)
+      : ref_(schedule_seed, jitter), rng_(script_seed) {
+    sim_.ConfigureSchedule(schedule_seed, jitter);
+  }
+
+  ~DifferentialDriver() {
+    for (auto h : probes_) h.destroy();
+  }
+
+  void RunScript(int rounds) {
+    for (int round = 0; round < rounds && !::testing::Test::HasFailure();
+         ++round) {
+      const int outside = static_cast<int>(Draw(4));
+      for (int i = 0; i < outside; ++i) ScheduleRandom();
+      if (Draw(3) == 0) CancelRandom();
+      if (Draw(16) == 0) {
+        RunPhase(std::numeric_limits<SimTime>::max());
+      } else {
+        const SimTime span = Draw(4) == 0 ? 0 : Draw(2) == 0 ? Draw(40)
+                                                             : Draw(3000);
+        RunPhase(sim_.now() + span);
+      }
+    }
+    RunPhase(std::numeric_limits<SimTime>::max());
+    EXPECT_EQ(sim_.pending_events(), 0u);
+    EXPECT_GT(resumed_, 0u);
+  }
+
+  void OnResume(int id) {
+    const ReferenceQueue::Entry* expected = ref_.Next(deadline_);
+    ASSERT_NE(expected, nullptr) << "simulator resumed event " << id
+                                 << " the model has nothing due by "
+                                 << deadline_;
+    EXPECT_EQ(expected->id, id) << "at t=" << sim_.now();
+    EXPECT_EQ(expected->time, sim_.now()) << "event " << id;
+    ref_now_ = expected->time;
+    ref_.Pop();
+    resumed_++;
+    std::erase_if(armed_, [id](const Armed& a) { return a.id == id; });
+    // Handlers schedule more work and disarm timers while the run is on
+    // (0.8 new events per resumption on average, so every drain ends).
+    const int inside = Draw(5) == 0 ? 2 : static_cast<int>(Draw(2));
+    for (int i = 0; i < inside; ++i) ScheduleRandom();
+    if (Draw(5) == 0) CancelRandom();
+  }
+
+ private:
+  struct Armed {
+    int id;
+    Simulator::CancelToken token;
+  };
+
+  uint64_t Draw(uint64_t n) { return rng_() % n; }
+
+  void RunPhase(SimTime deadline) {
+    deadline_ = deadline;
+    bool remaining = false;
+    if (deadline == std::numeric_limits<SimTime>::max()) {
+      sim_.Run();
+    } else {
+      remaining = sim_.RunUntil(deadline);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    // Nothing live may be left due by the deadline; cancelled entries due
+    // by then were discarded by the simulator too.
+    EXPECT_EQ(ref_.Next(deadline), nullptr) << "run stopped early";
+    if (ref_.size() > 0 && deadline != std::numeric_limits<SimTime>::max()) {
+      ref_now_ = deadline;
+    }
+    EXPECT_EQ(sim_.now(), ref_now_);
+    EXPECT_EQ(sim_.pending_events(), ref_.size());
+    if (deadline != std::numeric_limits<SimTime>::max()) {
+      EXPECT_EQ(remaining, ref_.size() > 0);
+    }
+  }
+
+  void ScheduleRandom() {
+    const int id = static_cast<int>(probes_.size());
+    probes_.push_back(Fire(this, id).handle);
+    const SimTime now = sim_.now();
+    SimTime t = now;
+    switch (Draw(6)) {
+      case 0:  // a zero delay: a yield point at the current time
+        break;
+      case 1:  // an absolute time shared with earlier events
+        t = anchors_[Draw(anchors_.size())];
+        break;
+      case 2:
+        t = now + static_cast<SimTime>(Draw(4));
+        break;
+      case 3:
+        t = now + static_cast<SimTime>(Draw(200));
+        break;
+      case 4:
+        t = now + static_cast<SimTime>(Draw(5000));
+        break;
+      default:
+        t = now + static_cast<SimTime>(Draw(1 << 20));
+        break;
+    }
+    if (Draw(8) == 0) anchors_[Draw(anchors_.size())] = t;
+    const uint64_t seq = ref_.Schedule(ref_now_, t, id);
+    if (Draw(4) == 0) {
+      const Simulator::CancelToken token =
+          sim_.ScheduleCancellableAt(t, probes_.back());
+      EXPECT_EQ(token, seq);
+      armed_.push_back(Armed{id, token});
+    } else {
+      sim_.ScheduleAt(t, probes_.back());
+    }
+  }
+
+  void CancelRandom() {
+    if (armed_.empty()) return;
+    const size_t k = Draw(armed_.size());
+    sim_.Cancel(armed_[k].token);
+    ref_.Cancel(armed_[k].token);
+    armed_.erase(armed_.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+
+  Simulator sim_;
+  ReferenceQueue ref_;
+  std::mt19937_64 rng_;
+  SimTime ref_now_ = 0;
+  SimTime deadline_ = 0;
+  uint64_t resumed_ = 0;
+  std::vector<SimTime> anchors_ = std::vector<SimTime>(4, 0);
+  std::vector<std::coroutine_handle<>> probes_;
+  std::vector<Armed> armed_;
+};
+
+Probe Fire(DifferentialDriver* driver, int id) {
+  driver->OnResume(id);
+  co_return;
+}
+
+TEST(SimulatorTest, EventOrderMatchesReferenceQueue) {
+  for (const uint64_t schedule_seed : {0u, 1u, 7u}) {
+    for (const SimTime jitter : {SimTime{0}, SimTime{50}}) {
+      SCOPED_TRACE(::testing::Message() << "schedule_seed=" << schedule_seed
+                                        << " jitter=" << jitter);
+      DifferentialDriver driver(/*script_seed=*/0xD1FF + schedule_seed,
+                                schedule_seed, jitter);
+      driver.RunScript(/*rounds=*/400);
+    }
+  }
 }
 
 Task<int> ChainedValue(Simulator& s, int depth) {
