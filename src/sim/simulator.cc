@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace namtree::sim {
 
@@ -36,26 +37,73 @@ SimTime Simulator::JitterFor(uint64_t seq) const {
       h % static_cast<uint64_t>(schedule_jitter_ns_ + 1));
 }
 
+int Simulator::BucketOf(SimTime t) const {
+  return static_cast<int>(std::bit_width(static_cast<uint64_t>(t ^ base_)));
+}
+
+void Simulator::Push(const Event& ev) {
+  size_++;
+  const int b = BucketOf(ev.time);
+  if (b == 0) {
+    buckets_[0].push_back(ev);
+    std::push_heap(buckets_[0].begin(), buckets_[0].end(), FiresAfter);
+    return;
+  }
+  buckets_[b].push_back(ev);
+  bucket_min_[b] = std::min(bucket_min_[b], ev.time);
+  occupied_ |= uint64_t{1} << b;
+}
+
+SimTime Simulator::PeekTime() const {
+  return buckets_[0].empty() ? bucket_min_[std::countr_zero(occupied_)]
+                             : base_;
+}
+
+Simulator::Event Simulator::Pop() {
+  std::vector<Event>& current = buckets_[0];
+  if (current.empty()) {
+    // Advance base_ to the lowest bucket's earliest time and spread that
+    // bucket over the buckets below it. Higher buckets keep their index:
+    // the new base agrees with the old one on every bit above b-1.
+    const int b = std::countr_zero(occupied_);
+    base_ = bucket_min_[b];
+    for (const Event& ev : buckets_[b]) {
+      const int to = BucketOf(ev.time);
+      buckets_[to].push_back(ev);
+      if (to != 0) {
+        bucket_min_[to] = std::min(bucket_min_[to], ev.time);
+        occupied_ |= uint64_t{1} << to;
+      }
+    }
+    buckets_[b].clear();
+    bucket_min_[b] = kNever;
+    occupied_ &= ~(uint64_t{1} << b);
+    std::make_heap(current.begin(), current.end(), FiresAfter);
+  }
+  std::pop_heap(current.begin(), current.end(), FiresAfter);
+  const Event ev = current.back();
+  current.pop_back();
+  size_--;
+  return ev;
+}
+
 void Simulator::ScheduleAt(SimTime t, std::coroutine_handle<> h) {
   const uint64_t seq = next_seq_++;
-  queue_.push(Event{std::max(t, now_) + JitterFor(seq), TieBreak(seq), seq,
-                    h});
+  Push(Event{std::max(t, now_) + JitterFor(seq), TieBreak(seq), seq, h});
 }
 
 Simulator::CancelToken Simulator::ScheduleCancellableAt(
     SimTime t, std::coroutine_handle<> h) {
   const uint64_t seq = next_seq_++;
-  queue_.push(Event{std::max(t, now_) + JitterFor(seq), TieBreak(seq), seq,
-                    h});
+  Push(Event{std::max(t, now_) + JitterFor(seq), TieBreak(seq), seq, h});
   return seq;
 }
 
 void Simulator::Cancel(CancelToken token) { cancelled_.insert(token); }
 
 SimTime Simulator::Run() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
+  while (size_ > 0) {
+    const Event ev = Pop();
     // A cancelled event is discarded without touching the clock: a disarmed
     // far-future timer must not stretch the run's final virtual time. Most
     // runs cancel nothing, so the hash probe is skipped while none is armed.
@@ -64,20 +112,28 @@ SimTime Simulator::Run() {
     events_processed_++;
     ev.handle.resume();
   }
+  // A discarded cancel may have left base_ past the clock; the queue is
+  // empty, so re-anchoring it is free.
+  base_ = now_;
   return now_;
 }
 
 bool Simulator::RunUntil(SimTime deadline) {
-  while (!queue_.empty() && queue_.top().time <= deadline) {
-    Event ev = queue_.top();
-    queue_.pop();
+  // PeekTime does not move base_: committing the queue to an event past the
+  // deadline would misfile events scheduled before it afterwards.
+  while (size_ > 0 && PeekTime() <= deadline) {
+    const Event ev = Pop();
     if (!cancelled_.empty() && cancelled_.erase(ev.seq) != 0) continue;
     now_ = ev.time;
     events_processed_++;
     ev.handle.resume();
   }
-  if (queue_.empty()) return false;
-  now_ = deadline;
+  if (size_ == 0) {
+    base_ = now_;
+    return false;
+  }
+  // base_ is at most the last popped time, itself <= deadline.
+  now_ = std::max(now_, deadline);
   return true;
 }
 

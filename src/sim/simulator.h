@@ -1,10 +1,11 @@
 #ifndef NAMTREE_SIM_SIMULATOR_H_
 #define NAMTREE_SIM_SIMULATOR_H_
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <limits>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -64,7 +65,8 @@ class Simulator {
   SimTime Run();
 
   /// Runs events with timestamp <= `deadline`; afterwards `now() ==
-  /// min(deadline, drain time)`. Returns true if events remain queued.
+  /// min(deadline, drain time)`. Returns true if events remain queued. A
+  /// deadline already in the past runs nothing and leaves the clock alone.
   bool RunUntil(SimTime deadline);
 
   /// Selects the schedule of this run. `seed == 0` restores the legacy
@@ -82,7 +84,7 @@ class Simulator {
   uint64_t events_processed() const { return events_processed_; }
 
   /// Number of events currently queued.
-  size_t pending_events() const { return queue_.size(); }
+  size_t pending_events() const { return size_; }
 
  private:
   struct Event {
@@ -90,13 +92,13 @@ class Simulator {
     uint64_t tie;  // schedule-seed permutation key among equal timestamps
     uint64_t seq;
     std::coroutine_handle<> handle;
-
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      if (tie != other.tie) return tie > other.tie;
-      return seq > other.seq;
-    }
   };
+
+  /// Heap order of the current-time bucket: `a` fires after `b`. Its
+  /// events share one timestamp, so (tie, seq) is the whole order.
+  static bool FiresAfter(const Event& a, const Event& b) {
+    return a.tie != b.tie ? a.tie > b.tie : a.seq > b.seq;
+  }
 
   /// Permutation key for event `seq`: the seq itself under the legacy
   /// schedule, a seed-keyed hash otherwise.
@@ -105,7 +107,37 @@ class Simulator {
   /// Deterministic extra delay for event `seq` (0 without jitter).
   SimTime JitterFor(uint64_t seq) const;
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  /// Queues `ev` (ev.time >= base_) in the bucket of the highest bit where
+  /// its time differs from base_; equal times join the current-time heap.
+  void Push(const Event& ev);
+
+  /// Earliest queued time, read without moving base_. Queue non-empty.
+  SimTime PeekTime() const;
+
+  /// Removes the next event in (time, tie, seq) order. Queue non-empty.
+  Event Pop();
+
+  /// Bucket of time `t` >= base_: 0 when equal, else 1 + the index of the
+  /// highest bit where `t` and base_ differ.
+  int BucketOf(SimTime t) const;
+
+  static constexpr int kBuckets = 64;
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+  // Monotone radix queue on event time (docs/simulator.md, "Event queue").
+  // buckets_[0] is a heap, ordered by FiresAfter, of the events at base_;
+  // buckets_[b] (b >= 1) holds the events whose time first differs from
+  // base_ at bit b-1, unordered. base_ never passes now() while user code
+  // can schedule, so every new event lands at or above it.
+  std::array<std::vector<Event>, kBuckets> buckets_;
+  std::array<SimTime, kBuckets> bucket_min_ = [] {
+    std::array<SimTime, kBuckets> mins;
+    mins.fill(kNever);
+    return mins;
+  }();
+  uint64_t occupied_ = 0;  // bit b set iff buckets_[b] (b >= 1) non-empty
+  SimTime base_ = 0;
+  size_t size_ = 0;
   std::unordered_set<uint64_t> cancelled_;  // seq numbers of disarmed events
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
