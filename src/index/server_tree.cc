@@ -39,11 +39,26 @@ uint64_t ServerTree::AllocatePage() {
   return ptr.raw();
 }
 
-sim::Task<void> ServerTree::Cpu(SimTime base) {
-  co_await sim::Delay(server_.fabric().simulator(), server_.ScaledCpu(base));
+sim::Delay ServerTree::Cpu(SimTime base) {
+  return sim::Delay(server_.fabric().simulator(), server_.ScaledCpu(base));
 }
 
-sim::Task<uint64_t> ServerTree::AwaitUnlocked(uint64_t raw) {
+bool ServerTree::UnlockedWait::await_ready() {
+  word_ = Word(tree_.View(raw_));
+  return !IsLocked(word_);
+}
+
+std::coroutine_handle<> ServerTree::UnlockedWait::await_suspend(
+    std::coroutine_handle<> h) {
+  spin_ = tree_.SpinUntilUnlocked(raw_);
+  return spin_.await_suspend(h);
+}
+
+uint64_t ServerTree::UnlockedWait::await_resume() {
+  return spin_.valid() ? spin_.await_resume() : word_;
+}
+
+sim::Task<uint64_t> ServerTree::SpinUntilUnlocked(uint64_t raw) {
   PageView view = View(raw);
   for (;;) {
     const uint64_t word = Word(view);

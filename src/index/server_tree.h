@@ -1,6 +1,7 @@
 #ifndef NAMTREE_INDEX_SERVER_TREE_H_
 #define NAMTREE_INDEX_SERVER_TREE_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -108,9 +109,28 @@ class ServerTree {
   uint64_t AllocatePage();
 
   /// Charges handler CPU (scaled for the QPI penalty).
-  sim::Task<void> Cpu(SimTime base);
+  sim::Delay Cpu(SimTime base);
+
+  /// Awaitable of AwaitUnlocked: an unlocked word completes without
+  /// suspending; a locked one starts the spin coroutine.
+  class UnlockedWait {
+   public:
+    UnlockedWait(ServerTree& tree, uint64_t raw) : tree_(tree), raw_(raw) {}
+    bool await_ready();
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h);
+    uint64_t await_resume();
+
+   private:
+    ServerTree& tree_;
+    uint64_t raw_;
+    uint64_t word_ = 0;
+    sim::Task<uint64_t> spin_;
+  };
+
   /// Awaits the node's lock bit, charging spin time. Returns the version.
-  sim::Task<uint64_t> AwaitUnlocked(uint64_t raw);
+  UnlockedWait AwaitUnlocked(uint64_t raw) { return {*this, raw}; }
+  /// Spins on a locked node until its lock bit clears (Listing 3).
+  sim::Task<uint64_t> SpinUntilUnlocked(uint64_t raw);
 
   /// Descends to the lowest local level for `key` (level 0 in CG mode,
   /// level 1 in hybrid mode), charging CPU per node. Returns the node's raw

@@ -66,8 +66,8 @@ Fabric::Fabric(sim::Simulator& simulator, const FabricConfig& config)
       [this](uint32_t client) { return ClientAlive(client); });
 #endif
   for (const FabricConfig::CrashPoint& cp : config_.crash_points) {
-    auto [it, inserted] = crash_after_.emplace(cp.client, cp.after_verbs);
-    if (!inserted) it->second = std::min(it->second, cp.after_verbs);
+    uint64_t& after = FaultsFor(cp.client).crash_after;
+    after = std::min(after, cp.after_verbs);
   }
   for (const FabricConfig::ServerCrashPoint& cp :
        config_.server_crash_points) {
@@ -183,8 +183,8 @@ Fabric::ComputeEndpoint& Fabric::ComputeFor(uint32_t client) {
 
 void Fabric::KillClient(uint32_t client, SimTime at_time) {
   const SimTime t = std::max(at_time, simulator_.now());
-  auto [it, inserted] = death_time_.emplace(client, t);
-  if (!inserted) it->second = std::min(it->second, t);
+  SimTime& death = FaultsFor(client).death_time;
+  death = std::min(death, t);
 }
 
 void Fabric::KillServer(uint32_t server, SimTime at_time) {
@@ -248,10 +248,9 @@ void Fabric::SyncReplicasFromPrimaries() {
 }
 
 bool Fabric::CountVerbAndCheckAlive(uint32_t client) {
-  if (!ClientAlive(client)) return false;
-  const uint64_t issued = verbs_issued_[client]++;
-  auto it = crash_after_.find(client);
-  if (it != crash_after_.end() && issued >= it->second) {
+  ClientFaults& faults = FaultsFor(client);
+  if (simulator_.now() >= faults.death_time) return false;
+  if (faults.verbs_issued++ >= faults.crash_after) {
     // The crash point fires on this verb: the client dies while posting
     // it, so the verb never leaves the local NIC.
     KillClient(client, simulator_.now());
@@ -283,7 +282,7 @@ Fabric::NetFault Fabric::DrawNetFault(uint32_t client, uint32_t server,
   // counter that crash points use (CountVerbAndCheckAlive has already
   // ticked it for the current verb), consumed once each, no RNG draw.
   if (!config_.verb_fault_points.empty()) {
-    const uint64_t index = verbs_issued_[client] - 1;
+    const uint64_t index = clients_[client].verbs_issued - 1;
     for (size_t i = 0; i < config_.verb_fault_points.size(); ++i) {
       if (verb_fault_consumed_[i]) continue;
       const FabricConfig::VerbFaultPoint& fp = config_.verb_fault_points[i];

@@ -2,6 +2,7 @@
 #define NAMTREE_RDMA_FABRIC_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -148,8 +149,8 @@ class Fabric {
   /// fabric-maintained registry that waiters consult (via ReadClientEpoch)
   /// before stealing an orphaned lock.
   bool ClientAlive(uint32_t client) const {
-    auto it = death_time_.find(client);
-    return it == death_time_.end() || simulator_.now() < it->second;
+    return client >= clients_.size() ||
+           simulator_.now() < clients_[client].death_time;
   }
 
   /// One-sided READ of `target`'s liveness record from the registry page
@@ -485,8 +486,7 @@ class Fabric {
 
   /// Verbs issued by `client` so far (crash points key off this count).
   uint64_t client_verbs(uint32_t client) const {
-    auto it = verbs_issued_.find(client);
-    return it == verbs_issued_.end() ? 0 : it->second;
+    return client < clients_.size() ? clients_[client].verbs_issued : 0;
   }
   /// Per-RPC service-time surcharge from connection bookkeeping
   /// (`per_client_poll_ns` x connected clients).
@@ -547,6 +547,20 @@ class Fabric {
 
   /// Validates that [ptr, ptr+len) lies inside the registered region.
   uint8_t* TargetAddress(RemotePtr ptr, uint32_t len);
+
+  /// Crash-fault state of one client, indexed by client id.
+  struct ClientFaults {
+    SimTime death_time = std::numeric_limits<SimTime>::max();  // immortal
+    uint64_t crash_after = std::numeric_limits<uint64_t>::max();  // none
+    // namtree-lint: metric-ok(fault-model state that crash and fault points key off; read via client_verbs(), never plumbed into results)
+    uint64_t verbs_issued = 0;
+  };
+
+  /// `client`'s crash-fault state, created on first use.
+  ClientFaults& FaultsFor(uint32_t client) {
+    if (client >= clients_.size()) clients_.resize(client + 1);
+    return clients_[client];
+  }
 
   /// Counts one verb against `client` and evaluates its crash point.
   /// Returns false when the client is (or just became) dead — the caller
@@ -775,13 +789,12 @@ class Fabric {
   uint32_t num_clients_ = 0;
   Rng jitter_rng_{0x9E3779B9};
   std::unique_ptr<VerbAuditor> auditor_;
-  // Crash-fault state: death times, per-client crash points (earliest
-  // after_verbs wins), verb counters, and the fabric-owned registry of
-  // in-flight RPCs (callers that time out abandon their entry; a late
-  // Respond then finds nothing instead of a dangling pointer).
-  std::unordered_map<uint32_t, SimTime> death_time_;
-  std::unordered_map<uint32_t, uint64_t> crash_after_;
-  std::unordered_map<uint32_t, uint64_t> verbs_issued_;
+  // Crash-fault state per client id: death time, crash point (earliest
+  // after_verbs wins) and verb counter. The fabric-owned registry of
+  // in-flight RPCs is pending_calls_ below (callers that time out abandon
+  // their entry; a late Respond then finds nothing instead of a dangling
+  // pointer).
+  std::vector<ClientFaults> clients_;
   // Memory-server fault domain: death times (sentinel = immortal),
   // effect-time verb counters, and per-server crash points (earliest
   // after_verbs wins).
