@@ -426,8 +426,8 @@ sim::Task<Status> RemoteOps::WriteUnlockPage(rdma::RemotePtr ptr,
   // on the locked primary: once it dies a reader may already have promoted
   // a backup, so a late backup WRITE must not clobber the promoted copy.
   ctx_->round_trips.Inc();
-  std::vector<rdma::Fabric::ChainOp> chain;
-  chain.reserve(1 + 2 * fabric().replication());
+  std::vector<rdma::Fabric::ChainOp>& chain = ctx_->chain_ops;
+  chain.clear();
   if (!sibling.is_null()) {
     chain.push_back(
         rdma::Fabric::ChainOp::Write(sibling, sibling_buf, page_size()));
@@ -587,8 +587,8 @@ sim::Task<Status> RemoteOps::WriteFreshPage(rdma::RemotePtr ptr,
   // later (fenced) publication links it, so partial replication after a
   // mid-chain death is harmless.
   ctx_->round_trips.Inc();
-  std::vector<rdma::Fabric::ChainOp> chain;
-  chain.reserve(fabric().replication());
+  std::vector<rdma::Fabric::ChainOp>& chain = ctx_->chain_ops;
+  chain.clear();
   for (uint32_t r = 0; r < fabric().replication(); ++r) {
     const rdma::RemotePtr rep = fabric().ReplicaPtr(ptr, r);
     if (!fabric().ServerAlive(rep.server_id())) continue;

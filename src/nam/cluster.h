@@ -274,6 +274,11 @@ class ClientContext {
   /// R=1.
   std::unordered_map<uint64_t, uint64_t> lock_routes;
 
+  /// Publication chain storage (index::RemoteOps builds each doorbell
+  /// chain here), reused so a warm context posts chains without
+  /// allocating.
+  std::vector<rdma::Fabric::ChainOp> chain_ops;
+
   /// Speculative-descent storage (index::TraversalEngine), made on first
   /// use; see ContextScratch.
   std::unique_ptr<ContextScratch> descent_scratch;

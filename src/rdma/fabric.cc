@@ -857,7 +857,7 @@ sim::Task<AtomicResult> Fabric::FetchAndAdd(uint32_t client, RemotePtr target,
 }
 
 sim::Task<VerbCompletion> Fabric::PostChain(uint32_t client,
-                                            std::vector<ChainOp> ops) {
+                                            std::span<ChainOp> ops) {
   co_return (co_await Post(client, ops, kChainProfile)).completion;
 }
 

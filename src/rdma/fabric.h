@@ -350,8 +350,10 @@ class Fabric {
   /// network faults a chain member can be dropped individually; the first
   /// dropped member also kills the not-yet-executed tail (the NIC stops
   /// streaming WQEs past a faulted one), and the chain completes kLost.
+  /// `ops` is the caller's storage and must outlive the task; a retry
+  /// re-posts the same span.
   sim::Task<VerbCompletion> PostChain(uint32_t client,
-                                      std::vector<ChainOp> ops);
+                                      std::span<ChainOp> ops);
 
   /// Selectively-signaled batch of READs (head-node prefetch, §4.3): a
   /// READ-only PostChain over the caller's `reads` (every member kRead).

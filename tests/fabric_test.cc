@@ -454,7 +454,7 @@ Task<> DriveMatrixVerb(Fabric& fabric, MatrixVerb verb, uint32_t target,
         ops.back().fence_server = static_cast<int32_t>(target);
       }
       out->status =
-          CompletionName(co_await fabric.PostChain(0, std::move(ops)));
+          CompletionName(co_await fabric.PostChain(0, ops));
       break;
     }
     case MatrixVerb::kEpoch: {

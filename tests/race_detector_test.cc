@@ -287,7 +287,7 @@ Task<> ChainedCycle(Fabric& fabric, RemotePtr page, uint32_t client,
   std::vector<Fabric::ChainOp> chain;
   chain.push_back(Fabric::ChainOp::Write(page, image.data(), kPage));
   chain.push_back(Fabric::ChainOp::Write(page, &unlocked, 8));
-  co_await fabric.PostChain(client, std::move(chain));
+  co_await fabric.PostChain(client, chain);
 }
 
 TEST(RaceDetectorTest, VerbTraceRecordsChainIds) {
