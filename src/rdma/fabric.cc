@@ -202,12 +202,20 @@ void Fabric::OnServerDeathNow(uint32_t server) {
   // Fail callers parked on this server's workers: no response will ever
   // come. Entries already responded (done set, reply SEND in flight) keep
   // their response — it left the NIC before the death.
-  for (auto& [call_id, pending] : pending_calls_) {
-    (void)call_id;
-    if (pending->server_id != server || pending->done.is_set()) continue;
-    pending->response = FailedRpc(StatusCode::kUnavailable);
-    pending->deliver_at = simulator_.now();
-    pending->done.Set();
+  // They wake at one instant, so the order they are failed in is their
+  // order of resumption: call-id order, not the registry's hash order.
+  std::vector<uint64_t> parked;
+  for (const auto& [call_id, pending] : pending_calls_) {
+    if (pending->server_id == server && !pending->done.is_set()) {
+      parked.push_back(call_id);
+    }
+  }
+  std::sort(parked.begin(), parked.end());
+  for (const uint64_t call_id : parked) {
+    PendingCall& pending = *pending_calls_.at(call_id);
+    pending.response = FailedRpc(StatusCode::kUnavailable);
+    pending.deliver_at = simulator_.now();
+    pending.done.Set();
   }
 }
 

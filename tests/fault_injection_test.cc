@@ -804,6 +804,64 @@ TEST(RpcTimeoutTest, DeadCallerGetsUnavailableWithoutRetrying) {
   EXPECT_EQ(cluster.fabric().metrics().Value("fabric.rpc_timeouts"), 0u);
 }
 
+struct ParkedCaller {
+  static sim::Task<> Go(rdma::Fabric& fabric, uint32_t client,
+                        uint16_t service, SimTime start,
+                        std::vector<uint32_t>* woke,
+                        std::vector<uint16_t>* statuses) {
+    co_await sim::Delay(fabric.simulator(), start);
+    rdma::RpcRequest req;
+    req.service = service;
+    const rdma::RpcResponse resp = co_await fabric.Call(client, 0, req);
+    woke->push_back(client);
+    statuses->push_back(resp.status);
+  }
+};
+
+struct ServerKiller {
+  static sim::Task<> Go(rdma::Fabric& fabric, SimTime at) {
+    co_await sim::Delay(fabric.simulator(), at);
+    fabric.KillServer(0);
+  }
+};
+
+// Callers parked on a server's workers when it dies are failed in the
+// order their calls were made, whatever order the call registry iterates
+// in: the wake-ups land at one instant, so their order decides who runs
+// first.
+TEST(ServerLossTest, ParkedCallersFailInCallOrder) {
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 1;
+  Cluster cluster(fc, 1 << 20);
+  // The wake-ups share a timestamp: pin the FIFO tie-break so the order
+  // observed is the order the death fallout issued them in.
+  cluster.simulator().ConfigureSchedule(0);
+  cluster.fabric().SetNumClients(2);
+  const uint16_t service = cluster.AllocateRpcService();
+  cluster.memory_server(0).RegisterHandler(
+      service, [](nam::MemoryServer& server, rdma::IncomingRpc rpc) {
+        // Far slower than the kill: both callers are still parked.
+        return DelayedEcho::Handle(server, std::move(rpc), kSecond);
+      });
+
+  std::vector<uint32_t> woke;
+  std::vector<uint16_t> statuses;
+  // Client 1 calls first, so it holds the smaller call id.
+  sim::Spawn(cluster.simulator(),
+             ParkedCaller::Go(cluster.fabric(), 1, service, 0, &woke,
+                              &statuses));
+  sim::Spawn(cluster.simulator(),
+             ParkedCaller::Go(cluster.fabric(), 0, service,
+                              10 * kMicrosecond, &woke, &statuses));
+  sim::Spawn(cluster.simulator(),
+             ServerKiller::Go(cluster.fabric(), 100 * kMicrosecond));
+  cluster.simulator().Run();
+
+  EXPECT_EQ(woke, (std::vector<uint32_t>{1, 0}));
+  const uint16_t unavailable = static_cast<uint16_t>(StatusCode::kUnavailable);
+  EXPECT_EQ(statuses, (std::vector<uint16_t>{unavailable, unavailable}));
+}
+
 }  // namespace
 }  // namespace namtree::index
 
