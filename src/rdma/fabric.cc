@@ -69,15 +69,18 @@ Fabric::Fabric(sim::Simulator& simulator, const FabricConfig& config)
     uint64_t& after = FaultsFor(cp.client).crash_after;
     after = std::min(after, cp.after_verbs);
   }
-  for (const FabricConfig::ServerCrashPoint& cp :
-       config_.server_crash_points) {
-    auto [it, inserted] = server_crash_after_.emplace(cp.server,
-                                                     cp.after_verbs);
-    if (!inserted) it->second = std::min(it->second, cp.after_verbs);
-  }
   server_death_time_.assign(config_.num_memory_servers,
                             std::numeric_limits<SimTime>::max());
   server_verbs_executed_.assign(config_.num_memory_servers, 0);
+  server_crash_after_.assign(config_.num_memory_servers,
+                             std::numeric_limits<uint64_t>::max());
+  for (const FabricConfig::ServerCrashPoint& cp :
+       config_.server_crash_points) {
+    // A crash point for a server the fabric does not have never fires.
+    if (cp.server >= config_.num_memory_servers) continue;
+    uint64_t& after = server_crash_after_[cp.server];
+    after = std::min(after, cp.after_verbs);
+  }
   net_faults_configured_ = config_.NetFaultsConfigured();
   net_rng_.Seed(config_.net_fault_seed);
   for (const FabricConfig::LinkFault& lf : config_.link_faults) {
@@ -225,9 +228,7 @@ bool Fabric::ServerVerbExecutes(uint32_t server) {
     OnServerDeathNow(server);
     return false;
   }
-  const uint64_t done = server_verbs_executed_[server]++;
-  auto it = server_crash_after_.find(server);
-  if (it != server_crash_after_.end() && done >= it->second) {
+  if (server_verbs_executed_[server]++ >= server_crash_after_[server]) {
     // The crash point fires on this verb effect: the server dies with the
     // verb on its NIC, so the effect never reaches memory.
     KillServer(server, simulator_.now());

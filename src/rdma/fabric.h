@@ -799,10 +799,10 @@ class Fabric {
   std::vector<ClientFaults> clients_;
   // Memory-server fault domain: death times (sentinel = immortal),
   // effect-time verb counters, and per-server crash points (earliest
-  // after_verbs wins).
+  // after_verbs wins; sentinel = none).
   std::vector<SimTime> server_death_time_;
   std::vector<uint64_t> server_verbs_executed_;
-  std::unordered_map<uint32_t, uint64_t> server_crash_after_;
+  std::vector<uint64_t> server_crash_after_;
   uint32_t replication_ = 1;
   // Network fault domain: cached enablement, dedicated RNG (seeded from
   // net_fault_seed; drawn only when faults are live), per-link overrides,
