@@ -792,10 +792,7 @@ class Fabric {
   Rng jitter_rng_{0x9E3779B9};
   std::unique_ptr<VerbAuditor> auditor_;
   // Crash-fault state per client id: death time, crash point (earliest
-  // after_verbs wins) and verb counter. The fabric-owned registry of
-  // in-flight RPCs is pending_calls_ below (callers that time out abandon
-  // their entry; a late Respond then finds nothing instead of a dangling
-  // pointer).
+  // after_verbs wins) and verb counter.
   std::vector<ClientFaults> clients_;
   // Memory-server fault domain: death times (sentinel = immortal),
   // effect-time verb counters, and per-server crash points (earliest
@@ -814,6 +811,9 @@ class Fabric {
       link_fault_overrides_;
   std::map<std::pair<uint32_t, uint32_t>, SimTime> partitioned_links_;
   std::vector<bool> verb_fault_consumed_;
+  // The fabric-owned registry of in-flight RPCs: callers that time out
+  // abandon their entry, so a late Respond finds nothing instead of a
+  // dangling pointer.
   std::unordered_map<uint64_t, std::unique_ptr<PendingCall>> pending_calls_;
   uint64_t next_call_id_ = 1;
   /// Exactly-once bookkeeping for two-sided calls under network faults. An
