@@ -259,7 +259,7 @@ void Fabric::SyncReplicasFromPrimaries() {
 bool Fabric::CountVerbAndCheckAlive(uint32_t client) {
   ClientFaults& faults = FaultsFor(client);
   if (simulator_.now() >= faults.death_time) return false;
-  if (faults.verbs_issued++ >= faults.crash_after) {
+  if (faults.verbs_posted++ >= faults.crash_after) {
     // The crash point fires on this verb: the client dies while posting
     // it, so the verb never leaves the local NIC.
     KillClient(client, simulator_.now());
@@ -291,7 +291,7 @@ Fabric::NetFault Fabric::DrawNetFault(uint32_t client, uint32_t server,
   // counter that crash points use (CountVerbAndCheckAlive has already
   // ticked it for the current verb), consumed once each, no RNG draw.
   if (!config_.verb_fault_points.empty()) {
-    const uint64_t index = clients_[client].verbs_issued - 1;
+    const uint64_t index = clients_[client].verbs_posted - 1;
     for (size_t i = 0; i < config_.verb_fault_points.size(); ++i) {
       if (verb_fault_consumed_[i]) continue;
       const FabricConfig::VerbFaultPoint& fp = config_.verb_fault_points[i];

@@ -488,7 +488,7 @@ class Fabric {
 
   /// Verbs issued by `client` so far (crash points key off this count).
   uint64_t client_verbs(uint32_t client) const {
-    return client < clients_.size() ? clients_[client].verbs_issued : 0;
+    return client < clients_.size() ? clients_[client].verbs_posted : 0;
   }
   /// Per-RPC service-time surcharge from connection bookkeeping
   /// (`per_client_poll_ns` x connected clients).
@@ -555,7 +555,7 @@ class Fabric {
     SimTime death_time = std::numeric_limits<SimTime>::max();  // immortal
     uint64_t crash_after = std::numeric_limits<uint64_t>::max();  // none
     // namtree-lint: metric-ok(fault-model state that crash and fault points key off; read via client_verbs(), never plumbed into results)
-    uint64_t verbs_issued = 0;
+    uint64_t verbs_posted = 0;
   };
 
   /// `client`'s crash-fault state, created on first use.

@@ -834,7 +834,7 @@ TEST(ServerLossTest, ParkedCallersFailInCallOrder) {
   fc.num_memory_servers = 1;
   Cluster cluster(fc, 1 << 20);
   // The wake-ups share a timestamp: pin the FIFO tie-break so the order
-  // observed is the order the death fallout issued them in.
+  // observed is the order the death fallout woke them in.
   cluster.simulator().ConfigureSchedule(0);
   cluster.fabric().SetNumClients(2);
   const uint16_t service = cluster.AllocateRpcService();

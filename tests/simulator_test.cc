@@ -405,7 +405,7 @@ class ReferenceQueue {
 };
 
 /// Coroutine that reports its resumption once, then parks at its final
-/// suspend point until the driver destroys it.
+/// suspend point until the harness destroys it.
 struct Probe {
   struct promise_type {
     Probe get_return_object() {
@@ -419,23 +419,23 @@ struct Probe {
   std::coroutine_handle<promise_type> handle;
 };
 
-class DifferentialDriver;
-Probe Fire(DifferentialDriver* driver, int id);
+class DifferentialHarness;
+Probe Fire(DifferentialHarness* harness, int id);
 
 /// Drives a Simulator and a ReferenceQueue with one random script: events
 /// scheduled from outside the run and from inside handlers (delays of 0,
 /// repeated absolute times, short and long gaps), cancels of armed timers,
 /// and RunUntil deadlines. Every resumption is checked against the model's
 /// next event (same id, same now()).
-class DifferentialDriver {
+class DifferentialHarness {
  public:
-  DifferentialDriver(uint64_t script_seed, uint64_t schedule_seed,
+  DifferentialHarness(uint64_t script_seed, uint64_t schedule_seed,
                      SimTime jitter)
       : ref_(schedule_seed, jitter), rng_(script_seed) {
     sim_.ConfigureSchedule(schedule_seed, jitter);
   }
 
-  ~DifferentialDriver() {
+  ~DifferentialHarness() {
     for (auto h : probes_) h.destroy();
   }
 
@@ -561,8 +561,8 @@ class DifferentialDriver {
   std::vector<Armed> armed_;
 };
 
-Probe Fire(DifferentialDriver* driver, int id) {
-  driver->OnResume(id);
+Probe Fire(DifferentialHarness* harness, int id) {
+  harness->OnResume(id);
   co_return;
 }
 
@@ -571,9 +571,9 @@ TEST(SimulatorTest, EventOrderMatchesReferenceQueue) {
     for (const SimTime jitter : {SimTime{0}, SimTime{50}}) {
       SCOPED_TRACE(::testing::Message() << "schedule_seed=" << schedule_seed
                                         << " jitter=" << jitter);
-      DifferentialDriver driver(/*script_seed=*/0xD1FF + schedule_seed,
+      DifferentialHarness harness(/*script_seed=*/0xD1FF + schedule_seed,
                                 schedule_seed, jitter);
-      driver.RunScript(/*rounds=*/400);
+      harness.RunScript(/*rounds=*/400);
     }
   }
 }
