@@ -421,5 +421,90 @@ TEST(RunnerTest, PipelineLanesOverlapOneSidedClients) {
       << "extra lanes must overlap independent lookups";
 }
 
+
+// Exact results of the closed-loop shapes the runner supports: MultiGet
+// gathering on a one-sided and an RPC design, several lanes per client on
+// one-sided and hybrid designs, and the plain loop on an RPC design. Every
+// figure is deterministic; a runner change that keeps these shapes must
+// reproduce each one exactly.
+TEST(RunnerTest, LoopShapesReproduceExactly) {
+  enum class Kind { kCoarse, kFine, kHybrid };
+  struct Shape {
+    const char* name;
+    Kind kind;
+    uint32_t multiget_batch;
+    uint32_t pipeline_depth;
+    bool speculative;
+    bool mixed;  // every op kind, so each flushes a gathered batch
+    uint64_t ops;
+    uint64_t failed;
+    uint64_t round_trips;
+    uint64_t server_bytes;
+    double p50;
+    double p99;
+  };
+  const Shape shapes[] = {
+      {"fg_multiget8_speculative", Kind::kFine, 8, 1, true, true, 4966, 14,
+       11038, 2303024, 15734.700111228993, 52239.547258134764},
+      {"cg_multiget8", Kind::kCoarse, 8, 1, false, true, 3017, 2, 2837,
+       240808, 34171.333196863357, 96439.431336245922},
+      {"fg_depth4", Kind::kFine, 1, 4, false, true, 2508, 2, 14597, 3240944,
+       61845.097643229041, 130910.53751848395},
+      {"hybrid_depth4", Kind::kHybrid, 1, 4, false, true, 5907, 20, 19465,
+       2888360, 25407.470600657954, 56008.080787721425},
+      {"cg_depth1_d", Kind::kCoarse, 1, 1, false, false, 2374, 0, 2908,
+       133584, 15437.502313642155, 33726.187754473096},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    rdma::FabricConfig fc;
+    fc.num_memory_servers = 4;
+    nam::Cluster cluster(fc, 64ull << 20);
+    index::IndexConfig ic;
+    ic.page_size = 256;
+    if (shape.speculative) {
+      ic.client_cache_pages = 4096;
+      ic.client_cache_ttl = kSecond;
+      ic.speculative_descent = true;
+    }
+    std::unique_ptr<index::DistributedIndex> index;
+    switch (shape.kind) {
+      case Kind::kCoarse:
+        index = std::make_unique<index::CoarseGrainedIndex>(cluster, ic);
+        break;
+      case Kind::kFine:
+        index = std::make_unique<index::FineGrainedIndex>(cluster, ic);
+        break;
+      case Kind::kHybrid:
+        index = std::make_unique<index::HybridIndex>(cluster, ic);
+        break;
+    }
+    const uint64_t keys = 10000;
+    ASSERT_TRUE(index->BulkLoad(GenerateDataset(keys)).ok());
+    RunConfig rc;
+    rc.num_clients = 8;
+    rc.warmup = kMillisecond;
+    rc.duration = 5 * kMillisecond;
+    rc.multiget_batch = shape.multiget_batch;
+    rc.pipeline_depth = shape.pipeline_depth;
+    if (shape.mixed) {
+      rc.mix.point = 0.70;
+      rc.mix.range = 0.05;
+      rc.mix.insert = 0.10;
+      rc.mix.update = 0.10;
+      rc.mix.remove = 0.05;
+    } else {
+      rc.mix = WorkloadD();
+    }
+    const RunResult r = RunWorkload(cluster, *index, keys, rc);
+    EXPECT_EQ(r.ops(), shape.ops);
+    EXPECT_EQ(r.failed_ops(), shape.failed);
+    EXPECT_EQ(r.round_trips(), shape.round_trips);
+    EXPECT_EQ(r.server_bytes, shape.server_bytes);
+    EXPECT_EQ(r.latency.Quantile(0.5), shape.p50);
+    EXPECT_EQ(r.latency.Quantile(0.99), shape.p99);
+  }
+}
+
 }  // namespace
 }  // namespace namtree::ycsb
