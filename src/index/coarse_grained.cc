@@ -118,46 +118,24 @@ sim::Task<> CoarseGrainedIndex::Handle(nam::MemoryServer& server,
       break;
     }
     case kBatch: {
-      // Coalesced multi-op frame: triples of [opcode, key, value] in the
-      // request payload, pairs of [status, value] in the response. All ops
-      // execute under this one handler dispatch — the batch paid a single
+      // Batched lookup frame: triples of [opcode, key, value] in the request
+      // payload, pairs of [status, value] in the response. Every lookup runs
+      // under this one handler dispatch — the frame paid a single
       // RequestOverhead above.
       const std::vector<uint64_t>& in = rpc.request.payload;
       resp.status = static_cast<uint16_t>(StatusCode::kOk);
       resp.arg0 = in.size() / 3;
       resp.payload.reserve((in.size() / 3) * 2);
       for (size_t i = 0; i + 2 < in.size(); i += 3) {
-        const auto op = static_cast<uint16_t>(in[i]);
-        const Key key = in[i + 1];
-        const Value value = in[i + 2];
-        uint64_t op_status = static_cast<uint16_t>(StatusCode::kUnsupported);
-        uint64_t op_value = 0;
-        switch (op) {
-          case kLookup: {
-            const LookupResult result = co_await tree.Lookup(key);
-            op_status = result.found
-                            ? static_cast<uint16_t>(StatusCode::kOk)
-                            : static_cast<uint16_t>(StatusCode::kNotFound);
-            op_value = result.value;
-            break;
-          }
-          case kInsert:
-            op_status = static_cast<uint16_t>(
-                (co_await tree.Insert(key, value)).code());
-            break;
-          case kUpdate:
-            op_status = static_cast<uint16_t>(
-                (co_await tree.Update(key, value)).code());
-            break;
-          case kDelete:
-            op_status =
-                static_cast<uint16_t>((co_await tree.Delete(key)).code());
-            break;
-          default:
-            break;
+        StatusCode code = StatusCode::kUnsupported;
+        Value value = 0;
+        if (in[i] == kLookup) {
+          const LookupResult result = co_await tree.Lookup(in[i + 1]);
+          code = result.found ? StatusCode::kOk : StatusCode::kNotFound;
+          value = result.value;
         }
-        resp.payload.push_back(op_status);
-        resp.payload.push_back(op_value);
+        resp.payload.push_back(static_cast<uint16_t>(code));
+        resp.payload.push_back(value);
       }
       break;
     }
@@ -302,18 +280,17 @@ sim::Task<Status> CoarseGrainedIndex::Delete(nam::ClientContext& ctx,
   co_return Status::NotFound();
 }
 
-sim::Task<void> CoarseGrainedIndex::RunBatch(nam::ClientContext& ctx,
-                                             std::span<const PointOp> ops,
-                                             PointOpResult* results) {
-  metrics::OpSpan span(ctx.trace(), "batch");
-  // Group ops by home server, preserving submission order inside a group,
-  // then ship one kBatch frame per server: n same-server ops cost one
-  // SEND/RECV round-trip and one server dispatch instead of n.
+sim::Task<void> CoarseGrainedIndex::MultiGet(nam::ClientContext& ctx,
+                                             std::span<const btree::Key> keys,
+                                             LookupResult* results) {
+  metrics::OpSpan span(ctx.trace(), "multiget");
+  // Group the keys by home server, preserving their order inside a group,
+  // then ship one kBatch lookup frame per server.
   const uint32_t servers = cluster_.num_memory_servers();
   std::vector<std::vector<size_t>> by_server(servers);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    results[i] = PointOpResult{};
-    by_server[partitioner_.ServerFor(ops[i].key)].push_back(i);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    results[i] = LookupResult{};
+    by_server[partitioner_.ServerFor(keys[i])].push_back(i);
   }
 
   for (uint32_t s = 0; s < servers; ++s) {
@@ -324,64 +301,29 @@ sim::Task<void> CoarseGrainedIndex::RunBatch(nam::ClientContext& ctx,
     req.op = kBatch;
     req.payload.reserve(group.size() * 3);
     for (size_t idx : group) {
-      const PointOp& op = ops[idx];
-      uint16_t opcode = kLookup;
-      switch (op.kind) {
-        case PointOpKind::kLookup: opcode = kLookup; break;
-        case PointOpKind::kInsert: opcode = kInsert; break;
-        case PointOpKind::kUpdate: opcode = kUpdate; break;
-        case PointOpKind::kDelete: opcode = kDelete; break;
-      }
-      req.payload.push_back(opcode);
-      req.payload.push_back(op.key);
-      req.payload.push_back(op.value);
+      req.payload.push_back(kLookup);
+      req.payload.push_back(keys[idx]);
+      req.payload.push_back(0);
     }
     rdma::RpcResponse resp = co_await ctx.Call(s, std::move(req));
     if (resp.status != static_cast<uint16_t>(StatusCode::kOk)) {
       // Transport failure: the whole group shares the frame's fate.
       const auto code = static_cast<StatusCode>(resp.status);
       for (size_t idx : group) {
-        results[idx].status = Status::FromCode(code, "batch rpc");
+        results[idx].status = Status::FromCode(code, "multiget rpc");
       }
       continue;
     }
     for (size_t g = 0; g < group.size(); ++g) {
       if (g * 2 + 1 >= resp.payload.size()) break;  // short frame: keep zeros
-      PointOpResult& r = results[group[g]];
       const auto code = static_cast<StatusCode>(resp.payload[g * 2]);
-      const uint64_t value = resp.payload[g * 2 + 1];
-      if (ops[group[g]].kind == PointOpKind::kLookup) {
-        // A lookup miss is a clean OK/not-found, not an error.
-        r.found = code == StatusCode::kOk;
-        r.value = value;
-        r.status = (code == StatusCode::kOk || code == StatusCode::kNotFound)
-                       ? Status::OK()
-                       : Status::FromCode(code, "batch lookup");
-      } else {
-        r.status = code == StatusCode::kOk
-                       ? Status::OK()
-                       : Status::FromCode(code, "batch op");
-      }
+      // A miss is a clean OK/not-found, not an error.
+      const bool clean =
+          code == StatusCode::kOk || code == StatusCode::kNotFound;
+      results[group[g]] = LookupResult{
+          code == StatusCode::kOk, resp.payload[g * 2 + 1],
+          clean ? Status::OK() : Status::FromCode(code, "multiget lookup")};
     }
-  }
-}
-
-sim::Task<void> CoarseGrainedIndex::MultiGet(nam::ClientContext& ctx,
-                                             std::span<const btree::Key> keys,
-                                             LookupResult* results) {
-  metrics::OpSpan span(ctx.trace(), "multiget");
-  // Reuse the multi-op coalescing path: the keys become kLookup point ops,
-  // one kBatch frame per home server.
-  std::vector<PointOp> ops(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ops[i].kind = PointOpKind::kLookup;
-    ops[i].key = keys[i];
-  }
-  std::vector<PointOpResult> op_results(keys.size());
-  co_await RunBatch(ctx, ops, op_results.data());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    results[i] = LookupResult{op_results[i].found, op_results[i].value,
-                              op_results[i].status};
   }
 }
 

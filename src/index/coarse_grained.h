@@ -32,8 +32,8 @@ class CoarseGrainedIndex : public DistributedIndex {
     kGc = 5,
     kUpdate = 6,
     kLookupAll = 7,
-    /// Coalesced multi-op frame: the request payload carries 3 words per
-    /// point op [opcode, key, value]; the response carries 2 words per op
+    /// Batched lookup frame (MultiGet): the request payload carries 3 words
+    /// per key [kLookup, key, 0]; the response carries 2 words per key
     /// [status, value]. The whole frame pays one RequestOverhead.
     kBatch = 8,
   };
@@ -56,19 +56,9 @@ class CoarseGrainedIndex : public DistributedIndex {
   sim::Task<Status> Delete(nam::ClientContext& ctx, btree::Key key) override;
   sim::Task<uint64_t> GarbageCollect(nam::ClientContext& ctx) override;
 
-  bool SupportsBatchedPointOps() const override { return true; }
-
-  /// Multi-op RPC coalescing (the two-sided analogue of doorbell
-  /// batching): groups `ops` by home server and ships each group as one
-  /// kBatch SEND, so n same-server ops pay one RPC round-trip and one
-  /// server dispatch instead of n.
-  sim::Task<void> RunBatch(nam::ClientContext& ctx,
-                           std::span<const PointOp> ops,
-                           PointOpResult* results) override;
-
-  /// Batched lookups ride the same multi-op coalescing as RunBatch: the
-  /// keys become kLookup point ops, grouped by home server into one kBatch
-  /// SEND per server.
+  /// Batched lookups: the keys are grouped by home server into one kBatch
+  /// SEND per server, so n same-server lookups pay one RPC round-trip and
+  /// one server dispatch instead of n.
   sim::Task<void> MultiGet(nam::ClientContext& ctx,
                            std::span<const btree::Key> keys,
                            LookupResult* results) override;

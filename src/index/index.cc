@@ -2,37 +2,6 @@
 
 namespace namtree::index {
 
-sim::Task<void> DistributedIndex::RunBatch(nam::ClientContext& ctx,
-                                           std::span<const PointOp> ops,
-                                           PointOpResult* results) {
-  metrics::OpSpan span(ctx.trace(), "batch");
-  // Sequential fallback: one point-op virtual per entry, in order. Designs
-  // with an RPC transport override this with a coalesced multi-op frame.
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const PointOp& op = ops[i];
-    PointOpResult& r = results[i];
-    r = PointOpResult{};
-    switch (op.kind) {
-      case PointOpKind::kLookup: {
-        const LookupResult lr = co_await Lookup(ctx, op.key);
-        r.status = lr.status;
-        r.found = lr.found;
-        r.value = lr.value;
-        break;
-      }
-      case PointOpKind::kInsert:
-        r.status = co_await Insert(ctx, op.key, op.value);
-        break;
-      case PointOpKind::kUpdate:
-        r.status = co_await Update(ctx, op.key, op.value);
-        break;
-      case PointOpKind::kDelete:
-        r.status = co_await Delete(ctx, op.key);
-        break;
-    }
-  }
-}
-
 sim::Task<void> DistributedIndex::MultiGet(nam::ClientContext& ctx,
                                            std::span<const btree::Key> keys,
                                            LookupResult* results) {

@@ -82,31 +82,6 @@ struct [[nodiscard]] LookupResult {
   Status status;
 };
 
-/// Point-operation kinds that can ride in a coalesced multi-op batch
-/// (everything except range scans, which carry variable-size results).
-enum class PointOpKind : uint8_t {
-  kLookup,
-  kInsert,
-  kUpdate,
-  kDelete,
-};
-
-/// One point operation inside a coalesced batch.
-struct PointOp {
-  PointOpKind kind = PointOpKind::kLookup;
-  btree::Key key = 0;
-  btree::Value value = 0;  ///< payload for kInsert / kUpdate
-};
-
-/// Per-op outcome of a coalesced batch. `found`/`value` are meaningful for
-/// kLookup only; `status` carries NotFound for a failed kUpdate / kDelete
-/// and transport errors for every kind.
-struct PointOpResult {
-  Status status;
-  bool found = false;
-  btree::Value value = 0;
-};
-
 /// The common interface of the distributed index designs (the paper's
 /// Designs 1-3, the design-matrix completion, and the hash baseline). All
 /// data-path operations are coroutines running in simulated time on behalf
@@ -159,27 +134,13 @@ class DistributedIndex {
   /// CG, from a compute client for FG leaves. Returns reclaimed entries.
   virtual sim::Task<uint64_t> GarbageCollect(nam::ClientContext& ctx) = 0;
 
-  /// True when RunBatch coalesces same-server point ops into multi-op RPC
-  /// frames (one SEND per server per batch) instead of the default
-  /// sequential fallback. RPC-based designs override this.
-  virtual bool SupportsBatchedPointOps() const { return false; }
-
-  /// Executes `ops` on behalf of one client and writes one PointOpResult
-  /// per op into `results` (which must have space for ops.size() entries).
-  /// The default runs the ops sequentially through the point-op virtuals —
-  /// correct for every design; RPC-based designs override it to coalesce
-  /// same-server ops into a single multi-op request frame.
-  virtual sim::Task<void> RunBatch(nam::ClientContext& ctx,
-                                   std::span<const PointOp> ops,
-                                   PointOpResult* results);
-
   /// Batched point lookup: answers `keys[i]` into `results[i]` (which must
   /// have space for keys.size() entries). Semantically identical to
   /// keys.size() independent Lookup calls — same found/value/status per key
   /// — but designs exploit batch locality: the one-sided designs sort the
   /// keys, group them by locally predicted leaf, and serve each group from
   /// one chain walk (one READ per visited page); the hybrid design groups
-  /// by cached route; the RPC design coalesces per-server multi-op frames.
+  /// by cached route; the RPC design ships one lookup frame per server.
   /// The default runs the keys sequentially through Lookup.
   virtual sim::Task<void> MultiGet(nam::ClientContext& ctx,
                                    std::span<const btree::Key> keys,

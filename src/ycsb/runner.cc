@@ -27,7 +27,7 @@ struct SharedState {
 };
 
 /// Records one completed operation if it fell inside the measurement
-/// window (both loop shapes share these window semantics). Counts land in
+/// window. Counts land in
 /// the registry — one "ycsb.ops" bump per {op type, status class}, with
 /// StatusClassOf as the single status -> class mapping — so RunResult's
 /// ops()/failed_ops()/failures() views and the bench --json emitter all
@@ -44,184 +44,77 @@ void Account(SharedState& state, OpType type, const Status& status,
   state.stats.LatencyCell(type).Observe(latency);
 }
 
+// One closed-loop lane (paper §6.1): each operation completes before the
+// lane issues the next. With `multiget_batch` > 1 the lane gathers up to
+// that many consecutive point lookups into one MultiGet; the first other
+// operation ends the gather and runs by itself after the batch, so the
+// lane's issue order is kept.
 // namtree-lint: safe-coro-ref(every referent lives in the caller's frame, which blocks on simulator.Run() until all spawned tasks finish)
 sim::Task<> ClientLoop(nam::Cluster& cluster, DistributedIndex& index,
                        WorkloadGenerator& gen, ClientContext& ctx,
-                       SharedState& state, bool primary_lane) {
+                       SharedState& state, uint32_t multiget_batch,
+                       bool primary_lane) {
   sim::Simulator& simulator = cluster.simulator();
+  std::vector<btree::Key> keys;
+  std::vector<index::LookupResult> results;
   while (simulator.now() < state.deadline) {
     // A crash-injected client issues no further operations; its in-flight
-    // verbs were dropped by the fabric. Only the first lane of a pipelined
-    // client reports the death, so `dead_clients` counts clients.
+    // verbs were dropped by the fabric. Only the first lane of a client
+    // reports the death, so `dead_clients` counts clients.
     if (!cluster.fabric().ClientAlive(ctx.client_id())) {
       if (primary_lane) state.dead_clients.Inc();
       break;
     }
-    const Operation op = gen.Next(ctx.rng());
+    Operation op = gen.Next(ctx.rng());
+    if (multiget_batch > 1 && op.type == OpType::kPoint) {
+      keys.assign(1, op.key);
+      bool flushed = false;
+      while (keys.size() < multiget_batch) {
+        op = gen.Next(ctx.rng());
+        if (op.type != OpType::kPoint) {
+          flushed = true;
+          break;
+        }
+        keys.push_back(op.key);
+      }
+      const SimTime start = simulator.now();
+      results.assign(keys.size(), index::LookupResult{});
+      co_await index.MultiGet(ctx, keys, results.data());
+      const SimTime end = simulator.now();
+      // Every lookup in the batch observes the batch's latency.
+      for (const index::LookupResult& r : results) {
+        Account(state, OpType::kPoint, r.status, start, end);
+      }
+      if (!flushed) continue;
+    }
     const SimTime start = simulator.now();
-    OpResult op_result;
-    op_result.type = op.type;
+    Status status;
     // The runner's span is the outermost one: the index entry points' own
     // spans go inert under it, so each closed-loop op traces exactly once,
     // labeled by its workload op type.
     metrics::OpSpan span(ctx.trace(), OpTypeName(op.type));
     switch (op.type) {
-      case OpType::kPoint: {
+      case OpType::kPoint:
         // A clean miss carries an OK status; only degraded-mode failures
         // (kUnavailable/kTimedOut) count as failed operations.
-        op_result.status = (co_await index.Lookup(ctx, op.key)).status;
+        status = (co_await index.Lookup(ctx, op.key)).status;
         break;
-      }
-      case OpType::kRange: {
+      case OpType::kRange:
         // A truncated scan reports how it degraded (kUnavailable vs
         // kTimedOut) so the FailureBreakdown attributes it correctly.
-        (void)co_await index.Scan(ctx, op.key, op.hi, nullptr,
-                                  &op_result.status);
+        (void)co_await index.Scan(ctx, op.key, op.hi, nullptr, &status);
         break;
-      }
-      case OpType::kInsert: {
-        op_result.status = co_await index.Insert(ctx, op.key, op.value);
+      case OpType::kInsert:
+        status = co_await index.Insert(ctx, op.key, op.value);
         break;
-      }
-      case OpType::kUpdate: {
-        op_result.status = co_await index.Update(ctx, op.key, op.value);
+      case OpType::kUpdate:
+        status = co_await index.Update(ctx, op.key, op.value);
         break;
-      }
-      case OpType::kDelete: {
-        op_result.status = co_await index.Delete(ctx, op.key);
+      case OpType::kDelete:
+        status = co_await index.Delete(ctx, op.key);
         break;
-      }
     }
-    const SimTime end = simulator.now();
-    op_result.latency = end - start;
-    Account(state, op.type, op_result.status, start, end);
-  }
-}
-
-// namtree-lint: safe-coro-ref(every referent lives in the caller's frame, which blocks on simulator.Run() until all spawned tasks finish)
-sim::Task<> BatchedClientLoop(nam::Cluster& cluster, DistributedIndex& index,
-                              WorkloadGenerator& gen, ClientContext& ctx,
-                              SharedState& state, uint32_t depth) {
-  sim::Simulator& simulator = cluster.simulator();
-  std::vector<index::PointOp> ops;
-  std::vector<OpType> types;
-  std::vector<index::PointOpResult> results;
-  while (simulator.now() < state.deadline) {
-    if (!cluster.fabric().ClientAlive(ctx.client_id())) {
-      state.dead_clients.Inc();
-      break;
-    }
-    // Gather up to `depth` coalescable point ops. A range op flushes the
-    // gathered batch first and then runs by itself (scans carry variable-
-    // size results and do not ride in multi-op frames).
-    ops.clear();
-    types.clear();
-    Operation range_op;
-    bool have_range = false;
-    while (ops.size() < depth) {
-      const Operation op = gen.Next(ctx.rng());
-      if (op.type == OpType::kRange) {
-        range_op = op;
-        have_range = true;
-        break;
-      }
-      index::PointOp p;
-      switch (op.type) {
-        case OpType::kPoint: p.kind = index::PointOpKind::kLookup; break;
-        case OpType::kInsert: p.kind = index::PointOpKind::kInsert; break;
-        case OpType::kUpdate: p.kind = index::PointOpKind::kUpdate; break;
-        case OpType::kDelete: p.kind = index::PointOpKind::kDelete; break;
-        case OpType::kRange: break;  // unreachable
-      }
-      p.key = op.key;
-      p.value = op.value;
-      ops.push_back(p);
-      types.push_back(op.type);
-    }
-    if (!ops.empty()) {
-      const SimTime start = simulator.now();
-      results.assign(ops.size(), index::PointOpResult{});
-      co_await index.RunBatch(ctx, ops, results.data());
-      const SimTime end = simulator.now();
-      // Closed-loop semantics per batch: every op in it observes the
-      // batch's end-to-end latency.
-      for (size_t i = 0; i < ops.size(); ++i) {
-        Account(state, types[i], results[i].status, start, end);
-      }
-    }
-    if (have_range) {
-      const SimTime start = simulator.now();
-      Status scan_status;
-      (void)co_await index.Scan(ctx, range_op.key, range_op.hi, nullptr,
-                                &scan_status);
-      const SimTime end = simulator.now();
-      Account(state, OpType::kRange, scan_status, start, end);
-    }
-  }
-}
-
-// namtree-lint: safe-coro-ref(every referent lives in the caller's frame, which blocks on simulator.Run() until all spawned tasks finish)
-sim::Task<> MultiGetClientLoop(nam::Cluster& cluster, DistributedIndex& index,
-                               WorkloadGenerator& gen, ClientContext& ctx,
-                               SharedState& state, uint32_t batch,
-                               bool primary_lane) {
-  sim::Simulator& simulator = cluster.simulator();
-  std::vector<btree::Key> keys;
-  std::vector<index::LookupResult> results;
-  while (simulator.now() < state.deadline) {
-    if (!cluster.fabric().ClientAlive(ctx.client_id())) {
-      if (primary_lane) state.dead_clients.Inc();
-      break;
-    }
-    // Gather up to `batch` consecutive point lookups into one MultiGet; any
-    // other operation flushes the gathered batch first and then runs by
-    // itself, preserving this client's issue order.
-    keys.clear();
-    Operation other_op;
-    bool have_other = false;
-    while (keys.size() < batch) {
-      const Operation op = gen.Next(ctx.rng());
-      if (op.type != OpType::kPoint) {
-        other_op = op;
-        have_other = true;
-        break;
-      }
-      keys.push_back(op.key);
-    }
-    if (!keys.empty()) {
-      const SimTime start = simulator.now();
-      results.assign(keys.size(), index::LookupResult{});
-      co_await index.MultiGet(ctx, keys, results.data());
-      const SimTime end = simulator.now();
-      // Closed-loop semantics per batch: every lookup in it observes the
-      // batch's end-to-end latency.
-      for (size_t i = 0; i < keys.size(); ++i) {
-        Account(state, OpType::kPoint, results[i].status, start, end);
-      }
-    }
-    if (have_other) {
-      const SimTime start = simulator.now();
-      Status status;
-      switch (other_op.type) {
-        case OpType::kRange:
-          (void)co_await index.Scan(ctx, other_op.key, other_op.hi, nullptr,
-                                    &status);
-          break;
-        case OpType::kInsert:
-          status = co_await index.Insert(ctx, other_op.key, other_op.value);
-          break;
-        case OpType::kUpdate:
-          status = co_await index.Update(ctx, other_op.key, other_op.value);
-          break;
-        case OpType::kDelete:
-          status = co_await index.Delete(ctx, other_op.key);
-          break;
-        case OpType::kPoint:
-          break;  // unreachable
-      }
-      const SimTime end = simulator.now();
-      Account(state, other_op.type, status, start, end);
-    }
+    Account(state, op.type, status, start, simulator.now());
   }
 }
 
@@ -274,44 +167,23 @@ RunResult RunWorkload(nam::Cluster& cluster, DistributedIndex& index,
   }
 
   sim::Spawn(simulator, WarmupMarker(cluster, state));
+  // `pipeline_depth` lanes per client: the extra lanes share the client id
+  // (and therefore its fabric poller, lock-holder identity and cache) but
+  // carry their own scratch buffers and rng stream, so `depth` independent
+  // operations overlap per client machine. RPC call and dedup ids are
+  // fabric-global, so RPC designs run lanes the same way.
   const uint32_t depth = std::max<uint32_t>(1, config.pipeline_depth);
-  const bool batched = depth > 1 && index.SupportsBatchedPointOps();
-  const uint32_t multiget = std::max<uint32_t>(1, config.multiget_batch);
   for (uint32_t c = 0; c < config.num_clients; ++c) {
-    if (batched) {
-      // RPC-based design: one loop per client that coalesces up to `depth`
-      // point ops into multi-op frames.
-      sim::Spawn(simulator, BatchedClientLoop(cluster, index, gen,
-                                              *contexts[c], state, depth));
-      continue;
-    }
-    if (multiget > 1) {
-      sim::Spawn(simulator,
-                 MultiGetClientLoop(cluster, index, gen, *contexts[c], state,
-                                    multiget, /*primary_lane=*/true));
-    } else {
-      sim::Spawn(simulator,
-                 ClientLoop(cluster, index, gen, *contexts[c], state,
-                            /*primary_lane=*/true));
-    }
-    // One-sided design with depth > 1: extra lanes share the client id
-    // (and therefore its fabric poller and lock-holder identity) but carry
-    // their own scratch buffers and rng stream, so `depth` independent
-    // operations overlap per client machine.
-    for (uint32_t lane = 1; lane < depth; ++lane) {
-      contexts.push_back(std::make_unique<ClientContext>(
-          c, cluster.fabric(), index.page_size(),
-          config.seed ^ (0x9E3779B97F4A7C15ull * lane)));
-      if (multiget > 1) {
-        sim::Spawn(simulator, MultiGetClientLoop(cluster, index, gen,
-                                                 *contexts.back(), state,
-                                                 multiget,
-                                                 /*primary_lane=*/false));
-      } else {
-        sim::Spawn(simulator,
-                   ClientLoop(cluster, index, gen, *contexts.back(), state,
-                              /*primary_lane=*/false));
+    for (uint32_t lane = 0; lane < depth; ++lane) {
+      if (lane > 0) {
+        contexts.push_back(std::make_unique<ClientContext>(
+            c, cluster.fabric(), index.page_size(),
+            config.seed ^ (0x9E3779B97F4A7C15ull * lane)));
       }
+      ClientContext& ctx = lane == 0 ? *contexts[c] : *contexts.back();
+      sim::Spawn(simulator,
+                 ClientLoop(cluster, index, gen, ctx, state,
+                            config.multiget_batch, /*primary_lane=*/lane == 0));
     }
   }
   if (config.gc_interval > 0) {

@@ -15,13 +15,6 @@
 
 namespace namtree::ycsb {
 
-/// Outcome of one client operation as observed by the runner's closed loop.
-struct OpResult {
-  OpType type = OpType::kPoint;
-  Status status;
-  SimTime latency = 0;
-};
-
 /// Configuration of one closed-loop benchmark run (paper §6.1: every client
 /// waits for its operation to finish before issuing the next one).
 struct RunConfig {
@@ -37,17 +30,15 @@ struct RunConfig {
   /// Issue one GarbageCollect pass from client 0 every `gc_interval`
   /// virtual ns (0 = no GC during the run).
   SimTime gc_interval = 0;
-  /// Outstanding operations per client coroutine. 1 (the default) is the
-  /// paper's closed loop: each client waits for its operation before
-  /// issuing the next. Depth d > 1 overlaps d independent ops per client:
-  /// designs that support batched point ops (RPC-based) gather up to d ops
-  /// and ship them as coalesced multi-op frames (one SEND per server per
-  /// batch); one-sided designs run d independent lanes per client so
-  /// lookups overlap on the wire.
+  /// Closed-loop lanes per client. 1 (the default) is the paper's closed
+  /// loop: each client waits for its operation before issuing the next.
+  /// Depth d > 1 runs d lanes per client on every design; each lane is its
+  /// own closed loop, so d independent operations overlap per client.
   uint32_t pipeline_depth = 1;
-  /// Gather up to this many consecutive point lookups per client into one
-  /// Index::MultiGet call (0/1 = issue singly). Non-lookup operations and
-  /// scans flush the gathered batch first, preserving per-client order.
+  /// Gather up to this many consecutive point lookups per lane into one
+  /// Index::MultiGet call (0/1 = every op goes through its own entry point).
+  /// Any other operation ends the gather and runs by itself after the
+  /// batch, preserving the lane's issue order.
   uint32_t multiget_batch = 1;
   /// Per-op verb tracing (docs/observability.md): enable every client's
   /// OpTrace and run each closed-loop operation under an OpSpan, recording
@@ -136,8 +127,9 @@ struct RunResult {
   std::vector<PerType> per_type = std::vector<PerType>(kNumOpTypes);
 };
 
-/// Runs `config.mix` against `index` with `config.num_clients` closed-loop
-/// client coroutines in virtual time and returns the measured aggregate.
+/// Runs `config.mix` against `index` in virtual time with
+/// `config.num_clients` clients of `config.pipeline_depth` closed-loop lanes
+/// each, and returns the measured aggregate.
 /// `num_keys` must match the bulk-loaded dataset (GenerateDataset).
 RunResult RunWorkload(nam::Cluster& cluster, index::DistributedIndex& index,
                       uint64_t num_keys, const RunConfig& config);

@@ -761,78 +761,5 @@ TEST_P(IndexDesignTest, RegistryMirrorsContextCounters) {
   EXPECT_EQ(window.Value("client.round_trips", "client", "1"), 0u);
 }
 
-// ---- Multi-op RPC batches (PointOp / RunBatch) ------------------------------
-
-Task<> RunBatchOnce(DistributedIndex& index, ClientContext& ctx,
-                    std::vector<PointOp> ops,
-                    std::vector<PointOpResult>* results) {
-  results->assign(ops.size(), PointOpResult{});
-  co_await index.RunBatch(ctx, ops, results->data());
-}
-
-class BatchOpsTest : public ::testing::TestWithParam<Design> {};
-
-// The coarse-grained designs exercise the coalesced kBatch RPC frame; the
-// fine-grained design exercises the default sequential fallback. Results
-// must be indistinguishable.
-INSTANTIATE_TEST_SUITE_P(Designs, BatchOpsTest,
-                         ::testing::Values(Design::kCoarseRange,
-                                           Design::kCoarseHash, Design::kFine),
-                         [](const ::testing::TestParamInfo<Design>& info) {
-                           return DesignName(info.param);
-                         });
-
-TEST_P(BatchOpsTest, MixedBatchMatchesSequentialSemantics) {
-  TestRig rig(GetParam());
-  ASSERT_TRUE(rig.index->BulkLoad(MakeData(500)).ok());
-  ClientContext ctx = rig.MakeClient(0);
-
-  // Bulk data: keys 0,2,...,998 with value key/2 + 1. Odd keys are absent.
-  const std::vector<PointOp> ops = {
-      {PointOpKind::kLookup, 10, 0},    // hit: value 6
-      {PointOpKind::kLookup, 11, 0},    // clean miss
-      {PointOpKind::kInsert, 1001, 77},
-      {PointOpKind::kUpdate, 20, 999},
-      {PointOpKind::kUpdate, 21, 1},    // missing key
-      {PointOpKind::kDelete, 30, 0},
-      {PointOpKind::kDelete, 31, 0},    // missing key
-      {PointOpKind::kLookup, 1001, 0},  // sees this batch's own insert
-  };
-  std::vector<PointOpResult> results;
-  Spawn(rig.cluster.simulator(), RunBatchOnce(*rig.index, ctx, ops, &results));
-  rig.cluster.simulator().Run();
-
-  ASSERT_EQ(results.size(), 8u);
-  EXPECT_TRUE(results[0].status.ok());
-  EXPECT_TRUE(results[0].found);
-  EXPECT_EQ(results[0].value, 6u);
-  EXPECT_TRUE(results[1].status.ok());
-  EXPECT_FALSE(results[1].found);
-  EXPECT_TRUE(results[2].status.ok());
-  EXPECT_TRUE(results[3].status.ok());
-  EXPECT_EQ(results[4].status.code(), StatusCode::kNotFound);
-  EXPECT_TRUE(results[5].status.ok());
-  EXPECT_EQ(results[6].status.code(), StatusCode::kNotFound);
-  EXPECT_TRUE(results[7].status.ok());
-  // Same key, same partition, same frame: submission order is preserved.
-  EXPECT_TRUE(results[7].found) << "batch lost its own earlier insert";
-  EXPECT_EQ(results[7].value, 77u);
-
-  // The batch's side effects equal the sequential ops'.
-  std::vector<LookupResult> after;
-  Spawn(rig.cluster.simulator(),
-        LookupMany(*rig.index, ctx, {20, 30, 1001}, &after));
-  rig.cluster.simulator().Run();
-  ASSERT_EQ(after.size(), 3u);
-  EXPECT_TRUE(after[0].found);
-  EXPECT_EQ(after[0].value, 999u);
-  EXPECT_FALSE(after[1].found);
-  EXPECT_TRUE(after[2].found);
-  EXPECT_EQ(after[2].value, 77u);
-
-  EXPECT_EQ(rig.index->SupportsBatchedPointOps(),
-            GetParam() != Design::kFine);
-}
-
 }  // namespace
 }  // namespace namtree::index

@@ -337,7 +337,13 @@ TEST(SpeculativeDescentTest, ClientCrashMidDescentLeavesCleanAudit) {
 
 // ---- MultiGet ---------------------------------------------------------------
 
-enum class DesignUnderTest { kFine, kCoarseOneSided, kHybrid, kCoarse };
+enum class DesignUnderTest {
+  kFine,
+  kCoarseOneSided,
+  kHybrid,
+  kCoarse,
+  kCoarseHash,
+};
 
 std::unique_ptr<DistributedIndex> MakeDesign(DesignUnderTest kind,
                                              Cluster& cluster,
@@ -351,6 +357,11 @@ std::unique_ptr<DistributedIndex> MakeDesign(DesignUnderTest kind,
       return std::make_unique<HybridIndex>(cluster, ic);
     case DesignUnderTest::kCoarse:
       return std::make_unique<CoarseGrainedIndex>(cluster, ic);
+    case DesignUnderTest::kCoarseHash: {
+      IndexConfig hashed = ic;
+      hashed.partition = PartitionKind::kHash;
+      return std::make_unique<CoarseGrainedIndex>(cluster, hashed);
+    }
   }
   return nullptr;
 }
@@ -362,7 +373,8 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, MultiGetDifferentialTest,
                          ::testing::Values(DesignUnderTest::kFine,
                                            DesignUnderTest::kCoarseOneSided,
                                            DesignUnderTest::kHybrid,
-                                           DesignUnderTest::kCoarse),
+                                           DesignUnderTest::kCoarse,
+                                           DesignUnderTest::kCoarseHash),
                          [](const auto& info) {
                            switch (info.param) {
                              case DesignUnderTest::kFine: return "Fine";
@@ -370,6 +382,8 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, MultiGetDifferentialTest,
                                return "CoarseOneSided";
                              case DesignUnderTest::kHybrid: return "Hybrid";
                              case DesignUnderTest::kCoarse: return "Coarse";
+                             case DesignUnderTest::kCoarseHash:
+                               return "CoarseHash";
                            }
                            return "Unknown";
                          });

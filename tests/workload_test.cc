@@ -361,66 +361,41 @@ TEST(RunnerTest, MoreClientsMoreThroughputUntilSaturation) {
   EXPECT_GT(t64, 0.5 * t8);
 }
 
-TEST(RunnerTest, BatchedPipelineCoalescesRpcs) {
-  // pipeline_depth > 1 on a design with batched point ops: the runner
-  // gathers up to `depth` ops per client into one multi-op RPC frame per
-  // touched server, cutting round trips per op and amortising the server's
-  // per-request overhead.
-  auto run = [](uint32_t depth) {
+TEST(RunnerTest, PipelineLanesOverlapClients) {
+  // pipeline_depth > 1 runs extra closed-loop lanes per client on every
+  // design, so independent operations overlap: one-sided READs on the wire,
+  // RPCs in the servers' worker pools.
+  auto run = [](bool coarse, uint32_t depth) {
     rdma::FabricConfig fc;
     fc.num_memory_servers = 2;
     nam::Cluster cluster(fc, 64ull << 20);
     index::IndexConfig ic;
-    index::CoarseGrainedIndex index(cluster, ic);
-    const uint64_t keys = 20000;
-    EXPECT_TRUE(index.BulkLoad(GenerateDataset(keys)).ok());
-    RunConfig rc;
-    rc.num_clients = 8;
-    rc.warmup = kMillisecond;
-    rc.duration = 10 * kMillisecond;
-    rc.mix = WorkloadC();
-    rc.pipeline_depth = depth;
-    return RunWorkload(cluster, index, keys, rc);
-  };
-  const RunResult solo = run(1);
-  const RunResult batched = run(4);
-  ASSERT_GT(solo.ops(), 100u);
-  ASSERT_GT(batched.ops(), 100u);
-  const double rt_solo =
-      static_cast<double>(solo.round_trips()) / static_cast<double>(solo.ops());
-  const double rt_batched = static_cast<double>(batched.round_trips()) /
-                            static_cast<double>(batched.ops());
-  EXPECT_LT(rt_batched, 0.75 * rt_solo)
-      << "coalesced frames must cut RPC round trips per op";
-  EXPECT_GT(batched.ops_per_sec, solo.ops_per_sec);
-}
-
-TEST(RunnerTest, PipelineLanesOverlapOneSidedClients) {
-  // On a one-sided design (no batched point ops), pipeline_depth > 1 runs
-  // extra closed-loop lanes per client so independent lookups overlap.
-  auto run = [](uint32_t depth) {
-    rdma::FabricConfig fc;
-    fc.num_memory_servers = 2;
-    nam::Cluster cluster(fc, 64ull << 20);
-    index::IndexConfig ic;
-    index::FineGrainedIndex index(cluster, ic);
+    std::unique_ptr<index::DistributedIndex> index;
+    if (coarse) {
+      index = std::make_unique<index::CoarseGrainedIndex>(cluster, ic);
+    } else {
+      index = std::make_unique<index::FineGrainedIndex>(cluster, ic);
+    }
     const uint64_t keys = 10000;
-    EXPECT_TRUE(index.BulkLoad(GenerateDataset(keys)).ok());
+    EXPECT_TRUE(index->BulkLoad(GenerateDataset(keys)).ok());
     RunConfig rc;
     rc.num_clients = 2;
     rc.warmup = kMillisecond;
     rc.duration = 10 * kMillisecond;
     rc.mix = WorkloadC();
     rc.pipeline_depth = depth;
-    return RunWorkload(cluster, index, keys, rc);
+    return RunWorkload(cluster, *index, keys, rc);
   };
-  const RunResult solo = run(1);
-  const RunResult piped = run(4);
-  ASSERT_GT(solo.ops(), 100u);
-  EXPECT_GT(piped.ops(), 2 * solo.ops())
-      << "extra lanes must overlap independent lookups";
+  for (const bool coarse : {false, true}) {
+    SCOPED_TRACE(coarse ? "coarse-grained" : "fine-grained");
+    const RunResult solo = run(coarse, 1);
+    const RunResult piped = run(coarse, 4);
+    ASSERT_GT(solo.ops(), 100u);
+    EXPECT_GT(piped.ops(), 2 * solo.ops())
+        << "extra lanes must overlap independent operations";
+    EXPECT_EQ(piped.failed_ops(), 0u);
+  }
 }
-
 
 // Exact results of the closed-loop shapes the runner supports: MultiGet
 // gathering on a one-sided and an RPC design, several lanes per client on
