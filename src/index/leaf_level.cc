@@ -412,9 +412,10 @@ sim::Task<Status> LeafLevel::InsertAt(RemoteOps ops, rdma::RemotePtr start,
   }
 }
 
-sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
-                                      Key key, Value value,
-                                      FenceCheck fence) {
+sim::Task<Status> LeafLevel::EditFirstLiveAt(RemoteOps ops,
+                                             rdma::RemotePtr start, Key key,
+                                             std::optional<Value> value,
+                                             FenceCheck fence) {
   const uint32_t page_size = ops.page_size();
   uint8_t* buf = ops.ctx().page_a();
   rdma::RemotePtr ptr = start;
@@ -442,7 +443,9 @@ sim::Task<Status> LeafLevel::UpdateAt(RemoteOps ops, rdma::RemotePtr start,
       continue;
     }
     ops.StampLocked(buf, read.version);
-    if (!view.LeafUpdateFirst(key, value)) {
+    const bool edited = value ? view.LeafUpdateFirst(key, *value)
+                              : view.LeafMarkDeleted(key);
+    if (!edited) {
       const Status unlock = co_await ops.UnlockPage(ptr);
       if (!unlock.ok()) co_return unlock;
       co_return Status::NotFound();  // defensive; CAS pinned the version
@@ -483,51 +486,6 @@ sim::Task<uint64_t> LeafLevel::CollectAt(RemoteOps ops, rdma::RemotePtr start,
       continue;
     }
     co_return found;
-  }
-}
-
-sim::Task<Status> LeafLevel::DeleteAt(RemoteOps ops, rdma::RemotePtr start,
-                                      Key key, FenceCheck fence) {
-  const uint32_t page_size = ops.page_size();
-  uint8_t* buf = ops.ctx().page_a();
-  rdma::RemotePtr ptr = start;
-  for (;;) {
-    const PageReadResult read = co_await ops.ReadPageUnlocked(ptr, buf);
-    if (!read.ok()) co_return read.status;
-    PageView view(buf, page_size);
-    fence.Check(view);
-    if (view.is_head()) {
-      ptr = rdma::RemotePtr(view.right_sibling());
-      if (ptr.is_null()) co_return Status::NotFound();
-      continue;
-    }
-    if (view.LeafFindLive(key) < 0) {
-      if (view.NeedsChase(key)) {
-        ptr = rdma::RemotePtr(view.right_sibling());
-        continue;
-      }
-      co_return Status::NotFound();
-    }
-    const Status lock = co_await ops.TryLockPage(ptr, read.version);
-    if (!lock.ok()) {
-      if (!lock.IsAborted()) co_return lock;
-      ops.ctx().restarts.Inc();
-      continue;
-    }
-    ops.StampLocked(buf, read.version);
-    if (!view.LeafMarkDeleted(key)) {
-      // Entry vanished between read and lock? Impossible: CAS pinned the
-      // version. Defensive anyway.
-      const Status unlock = co_await ops.UnlockPage(ptr);
-      if (!unlock.ok()) co_return unlock;
-      co_return Status::NotFound();
-    }
-    const Status wu = co_await ops.WriteUnlockPage(ptr, buf);
-    if (wu.IsAborted()) {
-      ops.ctx().restarts.Inc();  // primary died mid-publication: retry promoted
-      continue;
-    }
-    co_return wu;
   }
 }
 

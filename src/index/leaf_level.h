@@ -2,6 +2,7 @@
 #define NAMTREE_INDEX_LEAF_LEVEL_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -105,7 +106,9 @@ class LeafLevel {
   /// One-sided in-place value update of the first live entry with `key`.
   static sim::Task<Status> UpdateAt(RemoteOps ops, rdma::RemotePtr start,
                                     btree::Key key, btree::Value value,
-                                    FenceCheck fence);
+                                    FenceCheck fence) {
+    co_return co_await EditFirstLiveAt(ops, start, key, value, fence);
+  }
 
   /// Collects the values of all live entries with `key`, chasing the chain
   /// across duplicate runs. Returns the number found.
@@ -116,7 +119,9 @@ class LeafLevel {
 
   /// One-sided tombstone delete at the leaf covering `key`.
   static sim::Task<Status> DeleteAt(RemoteOps ops, rdma::RemotePtr start,
-                                    btree::Key key, FenceCheck fence);
+                                    btree::Key key, FenceCheck fence) {
+    co_return co_await EditFirstLiveAt(ops, start, key, std::nullopt, fence);
+  }
 
   /// Epoch-GC pass run from a compute server: compacts tombstoned entries
   /// out of every leaf using the one-sided lock protocol. Returns the
@@ -150,6 +155,17 @@ class LeafLevel {
                                         uint64_t* tombstones);
 
  private:
+  /// Shared body of UpdateAt and DeleteAt: finds the first live entry with
+  /// `key` along the chain, locks its leaf (remote CAS), sets the entry's
+  /// value to `*value` — or tombstones it when `value` is empty — and
+  /// publishes with a chained WRITE + unlock. NotFound when no live entry
+  /// exists.
+  static sim::Task<Status> EditFirstLiveAt(RemoteOps ops,
+                                           rdma::RemotePtr start,
+                                           btree::Key key,
+                                           std::optional<btree::Value> value,
+                                           FenceCheck fence);
+
   /// Locks (left, right) in chain order, migrates both pages' live entries
   /// into a fresh round-robin page (preserving the chain's server scatter),
   /// drains the pair, and bypasses it from `prev` when possible. Returns

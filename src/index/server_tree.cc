@@ -220,7 +220,8 @@ sim::Task<Status> ServerTree::Insert(Key key, Value value) {
   }
 }
 
-sim::Task<Status> ServerTree::Update(Key key, Value value) {
+sim::Task<Status> ServerTree::EditFirstLive(Key key,
+                                            std::optional<Value> value) {
   assert(!remote_leaves_);
   const auto& config = server_.fabric().config();
   for (;;) {
@@ -231,11 +232,12 @@ sim::Task<Status> ServerTree::Update(Key key, Value value) {
       if (Word(view) != v) break;  // restart descent
       Word(view) = WithLockBit(v);
       co_await Cpu(config.cpu_leaf_node_ns);
-      const bool updated = view.LeafUpdateFirst(key, value);
+      const bool edited = value ? view.LeafUpdateFirst(key, *value)
+                                : view.LeafMarkDeleted(key);
       const Key high = view.high_key();
       const uint64_t next = view.right_sibling();
       Word(view) = v + 2;
-      if (updated) co_return Status::OK();
+      if (edited) co_return Status::OK();
       if (key >= high && next != 0) {
         node = next;
         v = co_await AwaitUnlocked(node);
@@ -274,32 +276,6 @@ sim::Task<uint64_t> ServerTree::LookupAll(Key key,
         continue;
       }
       co_return found;
-    }
-  }
-}
-
-sim::Task<Status> ServerTree::Delete(Key key) {
-  assert(!remote_leaves_);
-  const auto& config = server_.fabric().config();
-  for (;;) {
-    uint64_t v = 0;
-    uint64_t node = co_await DescendToBottom(key, &v);
-    for (;;) {
-      PageView view = View(node);
-      if (Word(view) != v) break;  // restart descent
-      Word(view) = WithLockBit(v);
-      co_await Cpu(config.cpu_leaf_node_ns);
-      const bool marked = view.LeafMarkDeleted(key);
-      const Key high = view.high_key();
-      const uint64_t next = view.right_sibling();
-      Word(view) = v + 2;
-      if (marked) co_return Status::OK();
-      if (key >= high && next != 0) {
-        node = next;
-        v = co_await AwaitUnlocked(node);
-        continue;
-      }
-      co_return Status::NotFound();
     }
   }
 }

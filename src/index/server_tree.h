@@ -3,6 +3,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -76,10 +77,14 @@ class ServerTree {
                            std::vector<btree::KV>* out);
 
   sim::Task<Status> Insert(btree::Key key, btree::Value value);
-  sim::Task<Status> Update(btree::Key key, btree::Value value);
+  sim::Task<Status> Update(btree::Key key, btree::Value value) {
+    co_return co_await EditFirstLive(key, value);
+  }
   sim::Task<uint64_t> LookupAll(btree::Key key,
                                 std::vector<btree::Value>* out);
-  sim::Task<Status> Delete(btree::Key key);
+  sim::Task<Status> Delete(btree::Key key) {
+    co_return co_await EditFirstLive(key, std::nullopt);
+  }
 
   /// Compacts tombstones out of all local leaves (CG epoch GC).
   sim::Task<uint64_t> Compact();
@@ -103,6 +108,12 @@ class ServerTree {
 
   btree::PageView View(uint64_t raw) const;
   bool IsLocalPage(uint64_t raw) const;
+
+  /// Shared body of Update and Delete: under the leaf lock, sets the first
+  /// live entry with `key` to `*value`, or tombstones it when `value` is
+  /// empty. NotFound when no live entry exists.
+  sim::Task<Status> EditFirstLive(btree::Key key,
+                                  std::optional<btree::Value> value);
 
   /// Allocates one page from this server's region. 0 = region exhausted
   /// (kResourceExhausted surfaces through the caller, never an assert).
