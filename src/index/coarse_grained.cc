@@ -118,24 +118,19 @@ sim::Task<> CoarseGrainedIndex::Handle(nam::MemoryServer& server,
       break;
     }
     case kBatch: {
-      // Batched lookup frame: triples of [opcode, key, value] in the request
-      // payload, pairs of [status, value] in the response. Every lookup runs
-      // under this one handler dispatch — the frame paid a single
-      // RequestOverhead above.
+      // Batched lookup frame: triples of [kLookup, key, 0] in the request
+      // payload (only the key is read), pairs of [status, value] in the
+      // response. Every lookup runs under this one handler dispatch — the
+      // frame paid a single RequestOverhead above.
       const std::vector<uint64_t>& in = rpc.request.payload;
       resp.status = static_cast<uint16_t>(StatusCode::kOk);
       resp.arg0 = in.size() / 3;
       resp.payload.reserve((in.size() / 3) * 2);
       for (size_t i = 0; i + 2 < in.size(); i += 3) {
-        StatusCode code = StatusCode::kUnsupported;
-        Value value = 0;
-        if (in[i] == kLookup) {
-          const LookupResult result = co_await tree.Lookup(in[i + 1]);
-          code = result.found ? StatusCode::kOk : StatusCode::kNotFound;
-          value = result.value;
-        }
-        resp.payload.push_back(static_cast<uint16_t>(code));
-        resp.payload.push_back(value);
+        const LookupResult result = co_await tree.Lookup(in[i + 1]);
+        resp.payload.push_back(static_cast<uint16_t>(
+            result.found ? StatusCode::kOk : StatusCode::kNotFound));
+        resp.payload.push_back(result.value);
       }
       break;
     }

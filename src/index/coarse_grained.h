@@ -33,8 +33,9 @@ class CoarseGrainedIndex : public DistributedIndex {
     kUpdate = 6,
     kLookupAll = 7,
     /// Batched lookup frame (MultiGet): the request payload carries 3 words
-    /// per key [kLookup, key, 0]; the response carries 2 words per key
-    /// [status, value]. The whole frame pays one RequestOverhead.
+    /// per key [kLookup, key, 0], of which the server reads only the key;
+    /// the response carries 2 words per key [status, value]. The whole
+    /// frame pays one RequestOverhead.
     kBatch = 8,
   };
 

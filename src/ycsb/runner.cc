@@ -27,11 +27,10 @@ struct SharedState {
 };
 
 /// Records one completed operation if it fell inside the measurement
-/// window. Counts land in
-/// the registry — one "ycsb.ops" bump per {op type, status class}, with
-/// StatusClassOf as the single status -> class mapping — so RunResult's
-/// ops()/failed_ops()/failures() views and the bench --json emitter all
-/// read the same cells.
+/// window. Counts land in the registry — one "ycsb.ops" bump per {op type,
+/// status class}, with StatusClassOf as the single status -> class mapping
+/// — so RunResult's ops()/failed_ops()/failures() views and the bench
+/// --json emitter all read the same cells.
 void Account(SharedState& state, OpType type, const Status& status,
              SimTime start, SimTime end) {
   if (start < state.warmup_end || end > state.deadline) return;
