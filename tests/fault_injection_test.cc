@@ -728,6 +728,26 @@ struct Caller {
   }
 };
 
+// Replies arg0 + 1 after `delay` and records when the reply was sent.
+sim::Task<> TaggedReply(nam::MemoryServer& server, rdma::IncomingRpc rpc,
+                        SimTime delay, std::vector<SimTime>* replied) {
+  co_await sim::Delay(server.fabric().simulator(),
+                      server.RequestOverhead() + delay);
+  rdma::RpcResponse resp;
+  resp.status = static_cast<uint16_t>(StatusCode::kOk);
+  resp.arg0 = rpc.request.arg0 + 1;
+  replied->push_back(server.fabric().simulator().now());
+  server.fabric().Respond(server.server_id(), rpc, std::move(resp));
+}
+
+sim::Task<> TimedCaller(rdma::Fabric& fabric, uint16_t service,
+                        rdma::RpcResponse* out, SimTime* returned_at) {
+  rdma::RpcRequest req;
+  req.service = service;
+  *out = co_await fabric.Call(0, 0, std::move(req));
+  *returned_at = fabric.simulator().now();
+}
+
 TEST(RpcTimeoutTest, SlowFirstAttemptIsRetriedAndLateReplyDropped) {
   rdma::FabricConfig fc;
   fc.num_memory_servers = 1;
@@ -757,6 +777,54 @@ TEST(RpcTimeoutTest, SlowFirstAttemptIsRetriedAndLateReplyDropped) {
   EXPECT_EQ(cluster.fabric().metrics().Value("fabric.rpc_timeouts"), 1u);
   EXPECT_EQ(cluster.fabric().metrics().Value("fabric.dropped_responses"), 1u)
       << "the abandoned attempt's late reply must be charged and dropped";
+}
+
+// The resend after a timeout may reuse the abandoned attempt's call slot.
+// The abandoned attempt's reply, landing while the resend's handler still
+// runs, must be charged and dropped once and must not complete the resend:
+// the caller gets the resend's own reply.
+TEST(RpcTimeoutTest, LateReplyLandingOnReusedSlotIsDropped) {
+  rdma::FabricConfig fc;
+  fc.num_memory_servers = 1;
+  fc.rpc_timeout_ns = 50 * kMicrosecond;
+  fc.rpc_max_retries = 2;
+  Cluster cluster(fc, 1 << 20);
+  cluster.fabric().SetNumClients(1);
+  const uint16_t service = cluster.AllocateRpcService();
+  uint64_t calls = 0;
+  std::vector<SimTime> started;
+  std::vector<SimTime> replied;
+  cluster.memory_server(0).RegisterHandler(
+      service, [&](nam::MemoryServer& server, rdma::IncomingRpc rpc) {
+        started.push_back(server.fabric().simulator().now());
+        // First attempt: just past the deadline. The resend: inside its own
+        // deadline, but long enough that the first reply lands while it is
+        // still in its handler.
+        const uint64_t attempt = calls++;
+        rpc.request.arg0 = attempt == 0 ? 100 : 200;
+        return TaggedReply(server, std::move(rpc),
+                           attempt == 0 ? 60 * kMicrosecond
+                                        : 30 * kMicrosecond,
+                           &replied);
+      });
+
+  rdma::RpcResponse out;
+  SimTime returned_at = 0;
+  sim::Spawn(cluster.simulator(),
+             TimedCaller(cluster.fabric(), service, &out, &returned_at));
+  cluster.simulator().Run();
+
+  ASSERT_EQ(calls, 2u);
+  ASSERT_EQ(replied.size(), 2u);
+  // The first reply was sent while the resend was still being served.
+  EXPECT_GT(replied[0], started[1]);
+  EXPECT_LT(replied[0], replied[1]);
+  EXPECT_EQ(out.status, static_cast<uint16_t>(StatusCode::kOk));
+  EXPECT_EQ(out.arg0, 201u) << "the resend must return its own reply";
+  EXPECT_GT(returned_at, replied[1]);
+  EXPECT_EQ(cluster.fabric().metrics().Value("fabric.rpc_timeouts"), 1u);
+  EXPECT_EQ(cluster.fabric().metrics().Value("fabric.dropped_responses"), 1u)
+      << "the abandoned attempt's reply must be dropped exactly once";
 }
 
 TEST(RpcTimeoutTest, PersistentlySlowServiceSurfacesTimedOut) {
