@@ -25,6 +25,23 @@ uint32_t CountSetBits(const uint8_t* bits, uint32_t b, uint32_t e) {
   return total;
 }
 
+/// Index of the first of `n` sorted elements whose key is not below `key`
+/// (lower bound), branch-free: the loop runs ceil(log2 n) times whatever
+/// the data, and each step advances the base by a compare-selected offset
+/// instead of jumping on the compare.
+template <typename T, typename KeyOf>
+uint32_t LowerBound(const T* first, uint32_t n, Key key, KeyOf key_of) {
+  if (n == 0) return 0;
+  const T* base = first;
+  while (n > 1) {
+    const uint32_t half = n / 2;
+    base = key_of(base[half]) < key ? base + half : base;
+    n -= half;
+  }
+  return static_cast<uint32_t>(base - first) +
+         static_cast<uint32_t>(key_of(*base) < key);
+}
+
 }  // namespace
 
 void PageView::InitLeaf(Key high_key, uint64_t right_sibling_raw) {
@@ -56,18 +73,8 @@ void PageView::InitHead(uint64_t right_sibling_raw) {
 }
 
 uint32_t PageView::LeafLowerBound(Key key) const {
-  const KV* entries = leaf_entries();
-  uint32_t lo = 0;
-  uint32_t hi = count();
-  while (lo < hi) {
-    const uint32_t mid = (lo + hi) / 2;
-    if (entries[mid].key < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return LowerBound(leaf_entries(), count(), key,
+                    [](const KV& kv) { return kv.key; });
 }
 
 int32_t PageView::LeafFindLive(Key key) const {
@@ -129,10 +136,15 @@ uint32_t PageView::LeafCollectLive(Key lo, Key hi,
   const uint32_t n = count();
   if (n == 0 || lo >= hi) return 0;
   const KV* entries = leaf_entries();
-  // A scan's interior leaves lie wholly inside [lo, hi): the first and last
-  // entries settle both bounds without a search.
+  // A scan's interior leaves lie wholly inside [lo, hi): the first entry
+  // settles the low bound without a search, and the header the high one —
+  // a leaf with a right sibling holds no key above its fence, so a fence
+  // below `hi` puts every entry below it without reading the last one.
   const uint32_t b = entries[0].key >= lo ? 0 : LeafLowerBound(lo);
-  const uint32_t e = entries[n - 1].key < hi ? n : LeafLowerBound(hi);
+  const uint32_t e =
+      (right_sibling() != 0 && high_key() < hi) || entries[n - 1].key < hi
+          ? n
+          : LeafLowerBound(hi);
   if (b >= e) return 0;
   const uint32_t dead = CountSetBits(data_ + kHeaderBytes, b, e);
   if (out != nullptr) {
@@ -195,17 +207,7 @@ uint32_t PageView::InnerChildIndex(Key key) const {
   // so a lookup for a key equal to a separator first visits the left child
   // (where duplicates of the separator may live) and relies on the B-link
   // sibling chase to move right on a miss.
-  uint32_t lo = 0;
-  uint32_t hi = n;
-  while (lo < hi) {
-    const uint32_t mid = (lo + hi) / 2;
-    if (keys[mid] < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return LowerBound(keys, n, key, [](Key k) { return k; });
 }
 
 bool PageView::InnerInsert(Key sep, uint64_t child_raw) const {

@@ -1,18 +1,66 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 namespace namtree {
 
+namespace {
+
+/// Bucket lower bounds, derived once from the log10 formula so that a
+/// sample costs a table walk instead of a libm call.
+struct BucketTable {
+  /// first[i]: the smallest value the formula puts in bucket i or above
+  /// (first[0] = 0). Buckets past the one UINT64_MAX lands in are absent.
+  std::vector<uint64_t> first;
+  /// start[w]: the bucket of the smallest value of bit width w. A width
+  /// spans log10(2) of a decade, so at most a few buckets lie above it.
+  std::array<int, 65> start{};
+};
+
+}  // namespace
+
 Histogram::Histogram() : buckets_(kMaxBuckets, 0) {}
 
-int Histogram::BucketFor(uint64_t value) {
+int Histogram::FormulaBucket(uint64_t value) {
   if (value <= 1) return 0;
   const double b = std::log10(static_cast<double>(value)) * kBucketsPerDecade;
   const int idx = static_cast<int>(b);
   return std::min(idx, kMaxBuckets - 1);
+}
+
+int Histogram::BucketFor(uint64_t value) {
+  static const BucketTable table = [] {
+    BucketTable t;
+    t.first.push_back(0);
+    const int top = FormulaBucket(UINT64_MAX);
+    for (int bucket = 1; bucket <= top; ++bucket) {
+      // The formula is monotone in value: binary-search its first value.
+      uint64_t lo = t.first.back();
+      uint64_t hi = UINT64_MAX;
+      while (lo < hi) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        if (FormulaBucket(mid) >= bucket) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      t.first.push_back(lo);
+    }
+    for (int w = 0; w <= 64; ++w) {
+      t.start[w] = FormulaBucket(w == 0 ? 0 : 1ull << (w - 1));
+    }
+    return t;
+  }();
+  const int last = static_cast<int>(table.first.size()) - 1;
+  int bucket = table.start[std::bit_width(value)];
+  while (bucket < last && table.first[bucket + 1] <= value) ++bucket;
+  return bucket;
 }
 
 double Histogram::BucketLower(int bucket) {

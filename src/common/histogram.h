@@ -32,11 +32,16 @@ class Histogram {
   /// One-line summary: count/mean/p50/p95/p99/max.
   std::string ToString() const;
 
+  /// The bucket `value` is counted in: floor(20 * log10(value)), 0 for
+  /// values up to 1. Read from a table derived from FormulaBucket.
+  static int BucketFor(uint64_t value);
+  /// The defining log10 formula BucketFor's table reproduces.
+  static int FormulaBucket(uint64_t value);
+
  private:
   static constexpr int kBucketsPerDecade = 20;
   static constexpr int kMaxBuckets = 400;  // covers ~1ns .. 10^20ns
 
-  static int BucketFor(uint64_t value);
   static double BucketLower(int bucket);
   static double BucketUpper(int bucket);
 

@@ -44,7 +44,11 @@ sim::Delay ServerTree::Cpu(SimTime base) {
 }
 
 bool ServerTree::UnlockedWait::await_ready() {
-  word_ = Word(tree_.View(raw_));
+  // The caller reads the rest of the page next, usually after a CPU
+  // charge that leaves the host time to fetch it.
+  const PageView view = tree_.View(raw_);
+  view.Prefetch();
+  word_ = Word(view);
   return !IsLocked(word_);
 }
 
@@ -82,6 +86,15 @@ sim::Task<uint64_t> ServerTree::DescendToBottom(Key key, uint64_t* version) {
         *version = v;
         co_return node;
       }
+      // Route now (right sibling past the fence, else the child) and
+      // prefetch the page it names, so the charge below hides the host's
+      // cache miss. The route is used only once the version word
+      // revalidates after the charge; an unchanged word means unchanged
+      // bytes, so it is the route a read after the charge would take.
+      const bool chase = key > view.high_key();
+      const uint64_t next =
+          chase ? view.right_sibling() : view.InnerChildFor(key);
+      if (next != 0) View(next).Prefetch();
       // Model the binary search of the node, then act on a validated
       // snapshot (readUnlockOrRestart/checkOrRestart in Listing 1).
       co_await Cpu(config.cpu_inner_node_ns);
@@ -89,8 +102,7 @@ sim::Task<uint64_t> ServerTree::DescendToBottom(Key key, uint64_t* version) {
         restart = true;
         break;
       }
-      if (key > view.high_key()) {
-        const uint64_t next = view.right_sibling();
+      if (chase) {
         if (next == 0) {
           restart = true;
           break;
@@ -99,13 +111,12 @@ sim::Task<uint64_t> ServerTree::DescendToBottom(Key key, uint64_t* version) {
         v = co_await AwaitUnlocked(node);
         continue;
       }
-      const uint64_t child = view.InnerChildFor(key);
-      const uint64_t child_version = co_await AwaitUnlocked(child);
+      const uint64_t child_version = co_await AwaitUnlocked(next);
       if (Word(view) != v) {
         restart = true;
         break;
       }
-      node = child;
+      node = next;
       v = child_version;
     }
   }
@@ -150,6 +161,9 @@ sim::Task<uint64_t> ServerTree::Scan(Key lo, Key hi,
   uint64_t found = 0;
   for (;;) {
     PageView view = View(node);
+    // The leaf the scan moves to next, fetched while the charge runs.
+    const uint64_t next = view.right_sibling();
+    if (IsLocalPage(next) && view.high_key() < hi) View(next).Prefetch();
     co_await Cpu(config.cpu_leaf_node_ns);
     if (Word(view) != v) {
       v = co_await AwaitUnlocked(node);

@@ -206,19 +206,22 @@ void Fabric::OnServerDeathNow(uint32_t server) {
   // come. Entries already responded (done set, reply SEND in flight) keep
   // their response — it left the NIC before the death.
   // They wake at one instant, so the order they are failed in is their
-  // order of resumption: call-id order, not the registry's hash order.
-  std::vector<uint64_t> parked;
-  for (const auto& [call_id, pending] : pending_calls_) {
-    if (pending->server_id == server && !pending->done.is_set()) {
-      parked.push_back(call_id);
+  // order of resumption: call-id order, not the slot table's order.
+  std::vector<PendingCall*> parked;
+  for (PendingCall& pending : call_slots_) {
+    if (pending.call_id != 0 && pending.server_id == server &&
+        !pending.done.is_set()) {
+      parked.push_back(&pending);
     }
   }
-  std::sort(parked.begin(), parked.end());
-  for (const uint64_t call_id : parked) {
-    PendingCall& pending = *pending_calls_.at(call_id);
-    pending.response = FailedRpc(StatusCode::kUnavailable);
-    pending.deliver_at = simulator_.now();
-    pending.done.Set();
+  std::sort(parked.begin(), parked.end(),
+            [](const PendingCall* a, const PendingCall* b) {
+              return a->call_id < b->call_id;
+            });
+  for (PendingCall* pending : parked) {
+    pending->response = FailedRpc(StatusCode::kUnavailable);
+    pending->deliver_at = simulator_.now();
+    pending->done.Set();
   }
 }
 
@@ -381,6 +384,15 @@ uint8_t* Fabric::TargetAddress(RemotePtr ptr, uint32_t len) {
   assert(ep.region->Contains(ptr.offset(), len));
   (void)len;
   return ep.region->at(ptr.offset());
+}
+
+void Fabric::PrefetchSource(const ChainOp& op) const {
+  const MemoryRegion* region = memory_servers_[op.target.server_id()].region;
+  if (region == nullptr || !region->Contains(op.target.offset(), op.len)) {
+    return;  // the effect event reports it, if the READ ever executes
+  }
+  const uint8_t* src = region->at(op.target.offset());
+  for (uint32_t off = 0; off < op.len; off += 64) __builtin_prefetch(src + off);
 }
 
 SimTime Fabric::ReserveRequest(uint32_t client, uint32_t server_id,
@@ -729,6 +741,7 @@ sim::Task<Fabric::VerbOutcome> Fabric::Post(uint32_t client,
     } else {
       leg.local_bytes = op.len;
       leg.wire_bytes = kReadRequestBytes;
+      if (op.kind == ChainOp::Kind::kRead) PrefetchSource(op);
     }
     m.effect = ReserveRequest(client, sid, leg);
     if (op.atomic() || !profile.respond_at_effect) {
@@ -956,13 +969,11 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
     }
 
     const uint64_t call_id = next_call_id_++;
-    PendingCall* pending =
-        pending_calls_
-            .emplace(call_id, std::make_unique<PendingCall>(simulator_))
-            .first->second.get();
-    pending->server_id = server_id;
+    const uint32_t slot = AcquireCallSlot(call_id, server_id);
+    PendingCall* pending = &call_slots_[slot];
     IncomingRpc incoming;
     incoming.client_id = client;
+    incoming.call_slot = slot;
     incoming.request = request;  // copied: a timeout resends it
     incoming.call_id = call_id;
     incoming.rpc_id = rpc_id;
@@ -982,22 +993,23 @@ sim::Task<RpcResponse> Fabric::Call(uint32_t client, uint32_t server_id,
       // apply exactly once even though its reply was ambiguous.
       net_dropped_completions_.Inc();
       co_await sim::DelayUntil(simulator_, deadline);
-      pending_calls_.erase(call_id);
+      ReleaseCallSlot(slot);
       rpc_timeouts_.Inc();
       continue;
     }
     const bool completed = co_await pending->done.AwaitUntil(
         synthetic_deadline ? 0 : deadline);
     if (!completed) {
-      // Abandon the call: the registry entry dies here, so a handler that
-      // responds later finds nothing (never a dangling caller frame).
-      pending_calls_.erase(call_id);
+      // Abandon the call: the slot is freed here, so a handler that
+      // responds later finds it free or serving a later call id (never a
+      // dangling caller frame).
+      ReleaseCallSlot(slot);
       rpc_timeouts_.Inc();
       continue;
     }
     co_await sim::DelayUntil(simulator_, pending->deliver_at);
     RpcResponse response = std::move(pending->response);
-    pending_calls_.erase(call_id);
+    ReleaseCallSlot(slot);
     if (!ClientAlive(client)) {
       response = FailedRpc(StatusCode::kUnavailable);
     } else if (auditor_) {
@@ -1057,15 +1069,39 @@ void Fabric::Respond(uint32_t server_id, const IncomingRpc& incoming,
   const SimTime done = ReserveResponse(incoming.client_id, server_id,
                                        simulator_.now(), response.WireBytes());
 
-  auto it = pending_calls_.find(incoming.call_id);
-  if (it == pending_calls_.end()) {
+  // Call ids start at 1, so a free slot (id 0) never matches a delivery.
+  if (incoming.call_slot >= call_slots_.size() ||
+      call_slots_[incoming.call_slot].call_id != incoming.call_id) {
     dropped_responses_.Inc();  // caller timed out or died; reply goes nowhere
     return;
   }
-  PendingCall& pending = *it->second;
+  PendingCall& pending = call_slots_[incoming.call_slot];
   pending.response = std::move(response);
   pending.deliver_at = done;
   pending.done.Set();
+}
+
+uint32_t Fabric::AcquireCallSlot(uint64_t call_id, uint32_t server_id) {
+  uint32_t slot;
+  if (free_call_slots_.empty()) {
+    slot = static_cast<uint32_t>(call_slots_.size());
+    call_slots_.emplace_back(simulator_);
+  } else {
+    slot = free_call_slots_.back();
+    free_call_slots_.pop_back();
+  }
+  PendingCall& pending = call_slots_[slot];
+  pending.call_id = call_id;
+  pending.response = RpcResponse{};
+  pending.deliver_at = 0;
+  pending.server_id = server_id;
+  pending.done.Reset();
+  return slot;
+}
+
+void Fabric::ReleaseCallSlot(uint32_t slot) {
+  call_slots_[slot].call_id = 0;
+  free_call_slots_.push_back(slot);
 }
 
 Fabric::ServerStats Fabric::server_stats(uint32_t server) const {

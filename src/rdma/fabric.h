@@ -2,6 +2,7 @@
 #define NAMTREE_RDMA_FABRIC_H_
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -549,6 +550,9 @@ class Fabric {
 
   /// Validates that [ptr, ptr+len) lies inside the registered region.
   uint8_t* TargetAddress(RemotePtr ptr, uint32_t len);
+  /// Asks the host CPU to fetch a READ's source bytes at post time, so the
+  /// copy or pin at its effect event finds them in cache. A hint only.
+  void PrefetchSource(const ChainOp& op) const;
 
   /// Crash-fault state of one client, indexed by client id.
   struct ClientFaults {
@@ -780,6 +784,10 @@ class Fabric {
   /// workers will never respond) and tells the auditor the region is gone.
   void OnServerDeathNow(uint32_t server);
 
+  /// Takes a free call slot (or grows the table) for attempt `call_id`.
+  uint32_t AcquireCallSlot(uint64_t call_id, uint32_t server_id);
+  void ReleaseCallSlot(uint32_t slot);
+
   sim::Simulator& simulator_;
   FabricConfig config_;
   /// Declared before every registered handle (and before auditor_, whose
@@ -811,10 +819,12 @@ class Fabric {
       link_fault_overrides_;
   std::map<std::pair<uint32_t, uint32_t>, SimTime> partitioned_links_;
   std::vector<bool> verb_fault_consumed_;
-  // The fabric-owned registry of in-flight RPCs: callers that time out
-  // abandon their entry, so a late Respond finds nothing instead of a
-  // dangling pointer.
-  std::unordered_map<uint64_t, std::unique_ptr<PendingCall>> pending_calls_;
+  // The fabric-owned registry of in-flight RPCs: recycled slots (a deque,
+  // so a parked caller's pointer stays valid as the table grows). A caller
+  // that times out frees its slot, so a late Respond finds the slot free or
+  // serving a later call id, never a dangling pointer.
+  std::deque<PendingCall> call_slots_;
+  std::vector<uint32_t> free_call_slots_;
   uint64_t next_call_id_ = 1;
   /// Exactly-once bookkeeping for two-sided calls under network faults. An
   /// entry is created when the first delivery of an rpc_id is admitted and

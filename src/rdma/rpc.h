@@ -49,14 +49,17 @@ struct RpcResponse {
 };
 
 /// Client-side bookkeeping for an in-flight RPC, owned by the *fabric* (a
-/// call-id registry) rather than the caller's frame: a caller that times
-/// out abandons the call, and a handler that responds later must find
-/// either the registered entry or nothing — never a dangling pointer. The
-/// fabric fulfils it when the handler responds: `done` fires immediately
-/// and `deliver_at` is the virtual time the reply SEND lands at the
-/// caller's NIC (the caller delays itself until then).
+/// table of recycled call slots) rather than the caller's frame: a caller
+/// that times out frees its slot, and a handler that responds later must
+/// find its own call there or nothing — never a dangling pointer, and
+/// never the later call that reuses the slot. The fabric fulfils it when
+/// the handler responds: `done` fires immediately and `deliver_at` is the
+/// virtual time the reply SEND lands at the caller's NIC (the caller delays
+/// itself until then).
 struct PendingCall {
   explicit PendingCall(sim::Simulator& simulator) : done(simulator) {}
+  /// The call this slot serves; 0 while the slot is free.
+  uint64_t call_id = 0;
   RpcResponse response;
   SimTime deliver_at = 0;
   /// Memory server the request was delivered to. An immediate KillServer
@@ -66,11 +69,13 @@ struct PendingCall {
   sim::DeadlineEvent done;
 };
 
-/// An RPC delivered to a memory server's receive queue. `call_id` keys the
-/// fabric's pending-call registry; a response for an id no longer
-/// registered (the caller timed out) is charged and dropped.
+/// An RPC delivered to a memory server's receive queue. `call_slot` names
+/// the fabric's pending-call slot and `call_id` the attempt it was issued
+/// for; a response whose slot no longer holds that id (the caller timed
+/// out, and the slot may serve a later call) is charged and dropped.
 struct IncomingRpc {
   uint32_t client_id = 0;
+  uint32_t call_slot = 0;
   RpcRequest request;
   uint64_t call_id = 0;
   /// Resend-stable id: every retransmission of one logical Call carries the

@@ -2,7 +2,6 @@
 #define NAMTREE_SIM_LINK_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 #include "common/units.h"
@@ -59,10 +58,13 @@ class Link {
     return next_free_;
   }
 
-  /// Pure cost of `bytes` on an idle channel.
+  /// Pure cost of `bytes` on an idle channel: the quotient rounded up.
+  /// Truncation plus one when the quotient is not whole is exactly the
+  /// ceiling of a non-negative quotient, without a libm call.
   SimTime TransferDuration(uint64_t bytes) const {
-    return static_cast<SimTime>(
-        std::ceil(static_cast<double>(bytes) / bytes_per_ns_));
+    const double q = static_cast<double>(bytes) / bytes_per_ns_;
+    const SimTime whole = static_cast<SimTime>(q);
+    return whole + (static_cast<double>(whole) < q ? 1 : 0);
   }
 
   /// First instant a new transfer could begin.

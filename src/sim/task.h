@@ -288,6 +288,12 @@ class DeadlineEvent {
 
   bool is_set() const { return set_; }
 
+  /// Re-arms the event for a new round. No waiter may be parked on it.
+  void Reset() {
+    assert(!waiter_ && !timer_armed_);
+    set_ = false;
+  }
+
   void Set() {
     if (set_) return;
     set_ = true;

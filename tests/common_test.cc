@@ -139,6 +139,42 @@ TEST(HistogramTest, SingleValueQuantilesCollapse) {
   EXPECT_NEAR(h.Quantile(0.99), 42, 1);
 }
 
+// BucketFor's table must reproduce the log10 formula: on both sides of
+// every bucket boundary (found here from the formula alone), and on random
+// values of every bit width.
+TEST(HistogramTest, BucketTableMatchesFormula) {
+  const int top = Histogram::FormulaBucket(UINT64_MAX);
+  uint64_t boundary = 0;
+  for (int bucket = 1; bucket <= top; ++bucket) {
+    uint64_t lo = boundary;
+    uint64_t hi = UINT64_MAX;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (Histogram::FormulaBucket(mid) >= bucket) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    boundary = lo;
+    for (const uint64_t v : {boundary - 1, boundary, boundary + 1}) {
+      ASSERT_EQ(Histogram::BucketFor(v), Histogram::FormulaBucket(v))
+          << "value " << v << " near the start of bucket " << bucket;
+    }
+  }
+  for (const uint64_t v : {uint64_t{0}, uint64_t{1}, uint64_t{2}, UINT64_MAX}) {
+    EXPECT_EQ(Histogram::BucketFor(v), Histogram::FormulaBucket(v)) << v;
+  }
+  Rng rng(2025);
+  for (int i = 0; i < 1000000; ++i) {
+    // Half raw 64-bit values, half with a uniformly drawn bit width, so
+    // small latencies are sampled as densely as huge ones.
+    uint64_t v = rng.Next();
+    if (i % 2 == 1) v >>= rng.NextBelow(64);
+    ASSERT_EQ(Histogram::BucketFor(v), Histogram::FormulaBucket(v)) << v;
+  }
+}
+
 TEST(UnitsTest, Formatting) {
   EXPECT_EQ(FormatCount(1234567), "1.23M");
   EXPECT_EQ(FormatCount(999), "999");

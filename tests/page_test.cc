@@ -557,5 +557,152 @@ TEST(LeafCollectLiveTest, DuplicateRunsOnBothBounds) {
   }
 }
 
+// ---- Fence-settled high bound ---------------------------------------------
+
+// Fills an interior leaf: sorted `keys` under fence `high`, with a right
+// sibling, as a split leaves it (duplicates of the fence may stay left).
+void FillInteriorLeaf(PageView leaf, std::vector<Key> keys, Key high,
+                      double dead, Rng& rng) {
+  FillLeaf(leaf, std::move(keys), dead, rng);
+  leaf.header().high_key = high;
+  leaf.header().right_sibling = 0x1234;
+}
+
+TEST(LeafCollectLiveTest, FenceSettlesHighBoundOfInteriorLeaf) {
+  PageBuffer buf(1024);
+  PageView leaf = buf.view();
+  Rng rng(4);
+  // Duplicates equal to the fence sit at the page's end.
+  FillInteriorLeaf(leaf, {10, 20, 30, 40, 40, 40}, 40, 0.0, rng);
+  leaf.LeafSetTombstone(4, true);
+  // hi above the fence: every entry is below hi, fence duplicates included.
+  EXPECT_EQ(leaf.LeafCollectLive(0, 41, nullptr), 5u);
+  // hi equal to the fence: the fence's duplicates are excluded.
+  EXPECT_EQ(leaf.LeafCollectLive(0, 40, nullptr), 3u);
+  for (Key lo : {0u, 10u, 25u, 40u, 41u}) {
+    for (Key hi : {39u, 40u, 41u, 100u}) ExpectCollectMatches(leaf, lo, hi);
+    ExpectCollectMatches(leaf, lo, kInfinityKey);
+  }
+}
+
+TEST(LeafCollectLiveTest, RightmostLeafReadsItsLastEntry) {
+  PageBuffer buf(1024);
+  PageView leaf = buf.view();
+  Rng rng(5);
+  // No right sibling: the fence promises nothing, so a fence below hi must
+  // not settle the bound (keys beyond it are the rightmost leaf's own).
+  FillLeaf(leaf, {10, 20, 30, 50, 60}, 0.0, rng);
+  leaf.header().high_key = 25;
+  EXPECT_EQ(leaf.LeafCollectLive(0, 55, nullptr), 4u);
+  for (Key hi : {20u, 26u, 50u, 51u, 61u}) ExpectCollectMatches(leaf, 0, hi);
+}
+
+TEST(LeafCollectLiveTest, AllTombstonedInteriorLeafCollectsNothing) {
+  PageBuffer buf(1024);
+  PageView leaf = buf.view();
+  Rng rng(6);
+  FillInteriorLeaf(leaf, {10, 20, 20, 30}, 30, 1.0, rng);
+  std::vector<KV> out;
+  EXPECT_EQ(leaf.LeafCollectLive(0, 100, &out), 0u);
+  EXPECT_TRUE(out.empty());
+  for (Key hi : {20u, 30u, 31u}) ExpectCollectMatches(leaf, 0, hi);
+}
+
+TEST_P(LeafCollectLiveSizeTest, InteriorLeavesMatchPerEntryLoop) {
+  PageBuffer buf(GetParam());
+  PageView leaf = buf.view();
+  const uint32_t cap = leaf.leaf_capacity();
+  Rng rng(GetParam() + 11);
+  for (int round = 0; round < 100; ++round) {
+    const uint32_t n = static_cast<uint32_t>(1 + rng.NextBelow(cap));
+    const Key domain = rng.NextBool(0.5) ? n / 4 + 1 : 4ull * n + 1;
+    std::vector<Key> keys;
+    for (uint32_t i = 0; i < n; ++i) keys.push_back(rng.NextBelow(domain));
+    const Key high = *std::max_element(keys.begin(), keys.end()) +
+                     (rng.NextBool(0.5) ? 0 : rng.NextBelow(3));
+    FillInteriorLeaf(leaf, keys, high, round % 3 == 0 ? 0.0 : 0.3, rng);
+    for (Key hi : {high, high + 1, high + 5, kInfinityKey}) {
+      ExpectCollectMatches(leaf, rng.NextBelow(domain + 1), hi);
+    }
+  }
+}
+
+// ---- Branch-free searches against std::lower_bound --------------------------
+
+class PageSearchTest : public ::testing::TestWithParam<uint32_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Sizes, PageSearchTest,
+                         ::testing::Values(256u, 512u, 1024u, 4096u));
+
+// Key counts worth a case of their own, then random ones.
+std::vector<uint32_t> SearchSizes(uint32_t cap, Rng& rng) {
+  std::vector<uint32_t> sizes = {0, 1, 2, 3, cap - 1, cap};
+  for (int i = 0; i < 60; ++i) {
+    sizes.push_back(static_cast<uint32_t>(rng.NextBelow(cap + 1)));
+  }
+  return sizes;
+}
+
+// Sorted keys with long duplicate runs or none, away from 0 and the
+// infinity sentinel so probes below and above every key exist.
+std::vector<Key> SearchKeys(uint32_t n, Rng& rng) {
+  const Key domain = rng.NextBool(0.5) ? n / 3 + 1 : 16ull * n + 1;
+  std::vector<Key> keys;
+  for (uint32_t i = 0; i < n; ++i) keys.push_back(100 + rng.NextBelow(domain));
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+std::vector<Key> SearchProbes(const std::vector<Key>& keys, Rng& rng) {
+  std::vector<Key> probes = {0, 99, 100, kInfinityKey - 1};
+  for (Key k : keys) {
+    if (rng.NextBool(0.3)) {
+      probes.push_back(k - 1);
+      probes.push_back(k);
+      probes.push_back(k + 1);
+    }
+  }
+  if (!keys.empty()) {
+    probes.push_back(keys.front());
+    probes.push_back(keys.back());
+    probes.push_back(keys.back() + 1);
+  }
+  return probes;
+}
+
+TEST_P(PageSearchTest, LeafLowerBoundMatchesStdLowerBound) {
+  PageBuffer buf(GetParam());
+  PageView leaf = buf.view();
+  Rng rng(GetParam() * 3 + 1);
+  for (const uint32_t n : SearchSizes(leaf.leaf_capacity(), rng)) {
+    const std::vector<Key> keys = SearchKeys(n, rng);
+    FillLeaf(leaf, keys, 0.2, rng);
+    for (const Key probe : SearchProbes(keys, rng)) {
+      const auto want = static_cast<uint32_t>(
+          std::lower_bound(keys.begin(), keys.end(), probe) - keys.begin());
+      ASSERT_EQ(leaf.LeafLowerBound(probe), want)
+          << n << " entries, probe " << probe;
+    }
+  }
+}
+
+TEST_P(PageSearchTest, InnerChildIndexMatchesStdLowerBound) {
+  PageBuffer buf(GetParam());
+  PageView inner = buf.view();
+  Rng rng(GetParam() * 5 + 2);
+  for (const uint32_t n : SearchSizes(inner.inner_capacity(), rng)) {
+    const std::vector<Key> keys = SearchKeys(n, rng);
+    inner.InitInner(1, kInfinityKey, 0);
+    std::copy(keys.begin(), keys.end(), inner.inner_keys());
+    inner.header().count = static_cast<uint16_t>(n);
+    for (const Key probe : SearchProbes(keys, rng)) {
+      const auto want = static_cast<uint32_t>(
+          std::lower_bound(keys.begin(), keys.end(), probe) - keys.begin());
+      ASSERT_EQ(inner.InnerChildIndex(probe), want)
+          << n << " keys, probe " << probe;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace namtree::btree

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -194,6 +195,34 @@ TEST(LinkTest, OccupancyReservations) {
 TEST(LinkTest, TransferDurationRoundsUp) {
   Link link(3e9);  // 3 bytes per ns
   EXPECT_EQ(link.TransferDuration(10), 4);  // ceil(10/3)
+}
+
+// The libm-free ceiling must equal std::ceil of the same quotient: for
+// every transfer size up to 1 MiB at the port and bus bandwidths the fabric
+// configures by default (and a few others), then on a random sweep of
+// sizes and bandwidths.
+TEST(LinkTest, TransferDurationMatchesStdCeil) {
+  auto reference = [](double bytes_per_second, uint64_t bytes) {
+    return static_cast<SimTime>(std::ceil(static_cast<double>(bytes) /
+                                          (bytes_per_second / 1e9)));
+  };
+  for (const double bandwidth : {6.8e9, 25e9, 1e9, 3e9, 12.5e9, 5.6e10}) {
+    const Link link(bandwidth);
+    for (uint64_t bytes = 0; bytes <= (1u << 20); ++bytes) {
+      ASSERT_EQ(link.TransferDuration(bytes), reference(bandwidth, bytes))
+          << bytes << " bytes at " << bandwidth << " B/s";
+    }
+  }
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 1000000; ++i) {
+    const double bandwidth =
+        1e6 + std::uniform_real_distribution<double>(0, 1e11)(rng);
+    // Up to 2^40 bytes: the quotient stays far inside SimTime's range.
+    const uint64_t bytes = rng() >> (24 + rng() % 40);
+    const Link link(bandwidth);
+    ASSERT_EQ(link.TransferDuration(bytes), reference(bandwidth, bytes))
+        << bytes << " bytes at " << bandwidth << " B/s";
+  }
 }
 
 TEST(TaskTest, MoveSemantics) {
